@@ -103,6 +103,18 @@ impl IndexExpr {
     ///
     /// Panics if a variable index is out of range of `subs`.
     pub fn substitute(&self, subs: &[IndexExpr]) -> IndexExpr {
+        // When the expression and every substitution it reads are affine,
+        // compose the coefficient vectors directly: simplifying an affine
+        // tree yields `from_linear` of its coefficients, so the result is
+        // the one the node-by-node rewrite below would build.
+        let mut coeffs = Vec::new();
+        let mut constant = 0i64;
+        if self
+            .accumulate_linear(Some(subs), 1, &mut coeffs, &mut constant)
+            .is_some()
+        {
+            return IndexExpr::from_linear(&coeffs, constant);
+        }
         let out = match self {
             IndexExpr::Var(i) => subs[*i].clone(),
             IndexExpr::Const(c) => IndexExpr::Const(*c),
@@ -169,40 +181,51 @@ impl IndexExpr {
     /// Quasi-affine sub-terms (`FloorDiv`/`Mod` over non-constant operands)
     /// yield `None`.
     pub fn as_linear(&self, n_vars: usize) -> Option<(Vec<i64>, i64)> {
-        let mut coeffs = vec![0i64; n_vars];
+        let mut coeffs = Vec::with_capacity(n_vars);
         let mut constant = 0i64;
-        self.accumulate_linear(n_vars, 1, &mut coeffs, &mut constant)?;
+        self.accumulate_linear(None, 1, &mut coeffs, &mut constant)?;
+        if coeffs.len() > n_vars {
+            return None;
+        }
+        coeffs.resize(n_vars, 0);
         Some((coeffs, constant))
     }
 
+    /// Adds `factor` times the affine form of `self` into `coeffs` (grown
+    /// to cover every variable visited) and `constant`, reading `subs[i]`
+    /// in place of `Var(i)` when `subs` is given. `None` when `self`, or a
+    /// substitution it reads, is not affine.
     fn accumulate_linear(
         &self,
-        n_vars: usize,
+        subs: Option<&[IndexExpr]>,
         factor: i64,
-        coeffs: &mut [i64],
+        coeffs: &mut Vec<i64>,
         constant: &mut i64,
     ) -> Option<()> {
         match self {
-            IndexExpr::Var(i) => {
-                if *i >= n_vars {
-                    return None;
+            IndexExpr::Var(i) => match subs {
+                Some(subs) => subs[*i].accumulate_linear(None, factor, coeffs, constant),
+                None => {
+                    if coeffs.len() <= *i {
+                        coeffs.resize(*i + 1, 0);
+                    }
+                    coeffs[*i] += factor;
+                    Some(())
                 }
-                coeffs[*i] += factor;
-                Some(())
-            }
+            },
             IndexExpr::Const(c) => {
                 *constant += factor * c;
                 Some(())
             }
             IndexExpr::Add(a, b) => {
-                a.accumulate_linear(n_vars, factor, coeffs, constant)?;
-                b.accumulate_linear(n_vars, factor, coeffs, constant)
+                a.accumulate_linear(subs, factor, coeffs, constant)?;
+                b.accumulate_linear(subs, factor, coeffs, constant)
             }
             IndexExpr::Sub(a, b) => {
-                a.accumulate_linear(n_vars, factor, coeffs, constant)?;
-                b.accumulate_linear(n_vars, -factor, coeffs, constant)
+                a.accumulate_linear(subs, factor, coeffs, constant)?;
+                b.accumulate_linear(subs, -factor, coeffs, constant)
             }
-            IndexExpr::Mul(a, k) => a.accumulate_linear(n_vars, factor * k, coeffs, constant),
+            IndexExpr::Mul(a, k) => a.accumulate_linear(subs, factor * k, coeffs, constant),
             IndexExpr::FloorDiv(..) | IndexExpr::Mod(..) => None,
         }
     }

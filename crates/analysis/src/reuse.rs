@@ -56,9 +56,8 @@ impl ReuseReport {
 /// consumers).
 pub fn find_reuse(program: &TeProgram, graph: &TeGraph) -> ReuseReport {
     let mut report = ReuseReport::default();
-    for tensor_idx in 0..program.num_tensors() {
+    for (tensor_idx, consumers) in program.consumer_lists().into_iter().enumerate() {
         let tensor = TensorId(tensor_idx);
-        let consumers = program.consumers_of(tensor);
         if consumers.len() < 2 {
             continue;
         }

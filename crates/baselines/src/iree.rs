@@ -49,6 +49,7 @@ impl Strategy for IreeStrategy {
         // convolution kernels execute an order of magnitude more
         // instructions.
         let groups = self.group(ctx);
+        let consumers = ctx.program.consumer_lists();
         let mut compiled = souffle_kernel::CompiledModel {
             kernels: groups
                 .iter()
@@ -56,6 +57,7 @@ impl Strategy for IreeStrategy {
                     souffle_kernel::lower_fused_group(
                         &ctx.program,
                         g,
+                        &consumers,
                         &ctx.schedules,
                         &ctx.classes,
                         souffle_kernel::LowerOptions {

@@ -86,12 +86,14 @@ pub trait Strategy {
             "{}: every TE must be grouped exactly once",
             self.name()
         );
+        let consumers = ctx.program.consumer_lists();
         let kernels = groups
             .iter()
             .map(|g| {
                 lower_fused_group(
                     &ctx.program,
                     g,
+                    &consumers,
                     &ctx.schedules,
                     &ctx.classes,
                     LowerOptions {

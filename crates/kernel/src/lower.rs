@@ -127,12 +127,15 @@ pub fn lower_te_as_kernel(
 /// crossing the group boundary generate traffic. The group becomes a
 /// single-stage kernel anchored at its most demanding TE's schedule.
 ///
+/// `consumers` is the program's [`TeProgram::consumer_lists`].
+///
 /// # Panics
 ///
 /// Panics if `group` is empty or a schedule/class is missing.
 pub fn lower_fused_group(
     program: &TeProgram,
     group: &[TeId],
+    consumers: &[Vec<TeId>],
     schedules: &ScheduleMap,
     classes: &HashMap<TeId, TeClass>,
     options: LowerOptions,
@@ -144,7 +147,9 @@ pub fn lower_fused_group(
     };
     Kernel {
         name,
-        stages: vec![fused_stage(program, group, schedules, classes, options)],
+        stages: vec![fused_stage(
+            program, group, consumers, schedules, classes, options,
+        )],
     }
 }
 
@@ -153,6 +158,7 @@ pub fn lower_fused_group(
 /// crossing the group boundary touch global memory. Shared machinery of
 /// [`lower_fused_group`] (baseline kernels) and [`lower_partition`]
 /// (schedule-propagated stages of a grid-synchronized kernel, §6.3).
+/// `consumers` is the program's [`TeProgram::consumer_lists`].
 ///
 /// # Panics
 ///
@@ -160,6 +166,7 @@ pub fn lower_fused_group(
 pub fn fused_stage(
     program: &TeProgram,
     group: &[TeId],
+    consumers: &[Vec<TeId>],
     schedules: &ScheduleMap,
     classes: &HashMap<TeId, TeClass>,
     options: LowerOptions,
@@ -215,10 +222,9 @@ pub fn fused_stage(
     for &te in group {
         let out = program.te(te).output;
         let escapes = program.tensor(out).kind == souffle_te::TensorKind::Output;
-        let consumed_outside = program
-            .consumers_of(out)
-            .into_iter()
-            .any(|c| !group.contains(&c));
+        let consumed_outside = consumers[out.0]
+            .iter()
+            .any(|&c| !inside.contains(&program.te(c).output));
         if escapes || consumed_outside {
             let info = program.tensor(out);
             let bytes = info.shape.numel() as u64 * info.dtype.size_bytes();
@@ -259,6 +265,7 @@ pub fn lower_partition(
     classes: &HashMap<TeId, TeClass>,
     options: LowerOptions,
 ) -> Vec<Kernel> {
+    let consumers = program.consumer_lists();
     partition
         .subprograms
         .iter()
@@ -285,7 +292,8 @@ pub fn lower_partition(
             let mut produced: HashSet<TensorId> = HashSet::new();
             let mut stages = Vec::with_capacity(groups.len());
             for group in &groups {
-                let mut stage = fused_stage(program, group, schedules, classes, options);
+                let mut stage =
+                    fused_stage(program, group, &consumers, schedules, classes, options);
                 let needs_sync = group.iter().any(|&te| {
                     program
                         .te(te)

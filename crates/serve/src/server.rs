@@ -35,7 +35,7 @@
 //! `tests/dynamic_shape_differential.rs` enforce this).
 
 use crate::batcher::{bucket_for, Batch, BatchTrigger, BatcherCore};
-use souffle::{env_shape_cache, sched::program_signature, ShapeCache, ShapeClass};
+use souffle::{sched::program_signature, ShapeCache, ShapeClass, SHAPE_CACHE_ENV};
 use souffle::{Souffle, SouffleOptions};
 use souffle_te::sym::{bucket_boundaries, DynSpec};
 use souffle_te::{
@@ -588,7 +588,7 @@ impl ServerBuilder {
                 sig,
                 sym,
                 variants: ShapeCache::with_settings(
-                    env_shape_cache().unwrap_or(true),
+                    souffle_te::env_flag(SHAPE_CACHE_ENV).unwrap_or(true),
                     self.opts.shape_cache_capacity,
                 ),
             }),

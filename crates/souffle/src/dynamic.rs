@@ -18,7 +18,7 @@ use crate::{Compiled, Souffle};
 use souffle_te::TeProgram;
 use souffle_trace::Tracer;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// A set of compiled shape buckets for one dynamic extent (e.g. sequence
@@ -94,20 +94,6 @@ impl Souffle {
 /// `off`/`0`/`false` disables memoization (every lookup rebuilds).
 pub const SHAPE_CACHE_ENV: &str = "SOUFFLE_SHAPE_CACHE";
 
-/// The `SOUFFLE_SHAPE_CACHE` override, if set to a recognized value.
-pub fn env_shape_cache() -> Option<bool> {
-    match std::env::var(SHAPE_CACHE_ENV)
-        .ok()?
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "on" | "1" | "true" => Some(true),
-        "off" | "0" | "false" => Some(false),
-        _ => None,
-    }
-}
-
 /// Cache key for one compiled shape bucket: the structural signature of the
 /// symbolic program (from [`souffle_sched::program_signature`]) crossed with
 /// the concrete bucket vector the request was rounded up to (e.g.
@@ -137,6 +123,9 @@ enum SlotState<V> {
     Building,
     /// Compiled artifact, shared by every subsequent hit.
     Ready(Arc<V>),
+    /// The build panicked and the slot left the map; waiters look the key
+    /// up again.
+    Abandoned,
 }
 
 struct Slot<V> {
@@ -146,6 +135,36 @@ struct Slot<V> {
 
 /// Resident entries with their last-touch stamp for LRU eviction.
 type SlotMap<V> = HashMap<ShapeClass, (Arc<Slot<V>>, u64)>;
+
+/// Held by the winner while it builds. If the build unwinds, dropping it
+/// removes the key and wakes the waiters, so a panicking build cannot
+/// leave its shape class in `Building` for good.
+struct AbandonOnUnwind<'a, V> {
+    slots: &'a Mutex<SlotMap<V>>,
+    key: &'a ShapeClass,
+    slot: &'a Arc<Slot<V>>,
+}
+
+impl<V> Drop for AbandonOnUnwind<'_, V> {
+    fn drop(&mut self) {
+        // Every update under these locks leaves the map and the slot
+        // valid, so a poisoned guard is safe to use.
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        if slots
+            .get(self.key)
+            .is_some_and(|(s, _)| Arc::ptr_eq(s, self.slot))
+        {
+            slots.remove(self.key);
+        }
+        drop(slots);
+        *self
+            .slot
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = SlotState::Abandoned;
+        self.slot.ready.notify_all();
+    }
+}
 
 /// A lazy, thread-safe, optionally bounded cache of compiled shape buckets.
 ///
@@ -162,6 +181,9 @@ type SlotMap<V> = HashMap<ShapeClass, (Arc<Slot<V>>, u64)>;
 ///   evicted class must be bit-identical (the pipeline is deterministic).
 /// - **off switch**: constructed disabled (`SOUFFLE_SHAPE_CACHE=off`),
 ///   every lookup is a miss that rebuilds — a semantics-free ablation.
+/// - **panicking builds**: the panic reaches the caller that ran `build`;
+///   the class leaves the cache and blocked lookups retry, so the next
+///   lookup builds it afresh.
 pub struct ShapeCache<V> {
     slots: Mutex<SlotMap<V>>,
     clock: Mutex<u64>,
@@ -176,7 +198,7 @@ impl<V> ShapeCache<V> {
             slots: Mutex::new(HashMap::new()),
             clock: Mutex::new(0),
             capacity: None,
-            enabled: env_shape_cache().unwrap_or(true),
+            enabled: souffle_te::env_flag(SHAPE_CACHE_ENV).unwrap_or(true),
         }
     }
 
@@ -293,7 +315,13 @@ impl<V> ShapeCache<V> {
             }
         };
         if winner {
+            let abandon = AbandonOnUnwind {
+                slots: &self.slots,
+                key: &key,
+                slot: &slot,
+            };
             let v = Arc::new(Self::build_timed(&key, tracer, build));
+            std::mem::forget(abandon);
             let mut st = slot.state.lock().unwrap();
             *st = SlotState::Ready(Arc::clone(&v));
             slot.ready.notify_all();
@@ -304,8 +332,11 @@ impl<V> ShapeCache<V> {
                 match &*st {
                     SlotState::Ready(v) => return Arc::clone(v),
                     SlotState::Building => st = slot.ready.wait(st).unwrap(),
+                    SlotState::Abandoned => break,
                 }
             }
+            drop(st);
+            self.get_or_build(key, tracer, build)
         }
     }
 }
@@ -443,6 +474,33 @@ mod tests {
         // A recompile of the evicted class is a fresh miss.
         let again = cache.get_or_build(key(1, &[2]), &tracer, || 2);
         assert_eq!(*again, 2);
+    }
+
+    #[test]
+    fn panicking_build_leaves_the_class_buildable() {
+        let tracer = Tracer::new();
+        let cache: Arc<ShapeCache<i64>> = Arc::new(ShapeCache::with_settings(true, None));
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_build(key(3, &[8]), &tracer, || panic!("build failed"))
+        }));
+        assert!(first.is_err());
+        // A lookup that blocked on the wedged slot would never return, so
+        // it runs on its own thread against a deadline.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = {
+            let cache = Arc::clone(&cache);
+            let tracer = tracer.clone();
+            std::thread::spawn(move || {
+                let v = cache.get_or_build(key(3, &[8]), &tracer, || 5);
+                tx.send(*v).expect("the test waits for the result");
+            })
+        };
+        let v = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("lookup after a panicked build returns");
+        assert_eq!(v, 5);
+        worker.join().expect("worker thread");
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

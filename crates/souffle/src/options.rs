@@ -143,7 +143,7 @@ impl SouffleOptions {
     /// stage's candidates are post-vertical reduction chains.
     pub fn resolve_reduction_fusion(&self) -> bool {
         self.reduction_fusion
-            .or_else(souffle_transform::env_reduction_fusion)
+            .or_else(|| souffle_te::env_flag(souffle_transform::REDUCTION_FUSION_ENV))
             .unwrap_or(true)
     }
 
@@ -154,7 +154,7 @@ impl SouffleOptions {
         self.verify
             && self
                 .certify
-                .or_else(souffle_verify::env_certify)
+                .or_else(|| souffle_te::env_flag(souffle_verify::CERTIFY_ENV))
                 .unwrap_or(cfg!(debug_assertions))
     }
 

@@ -359,36 +359,35 @@ impl Souffle {
         // --- Semantic-preserving TE transformations (§6.1, §6.2) ---
         let mut transformed = program.clone();
         if self.options.horizontal {
-            let pre = certify.then(|| transformed.clone());
             let mut log = RewriteLog::new();
             let (p, s) = {
                 let _span = tracer.span_under("transform:horizontal", root);
                 horizontal_fuse_program_logged(&transformed, &mut log)
             };
-            transformed = p;
+            // The stage's input is kept for certification, not copied.
+            let pre = std::mem::replace(&mut transformed, p);
             stats.transform.horizontal_groups = s.horizontal_groups;
             self.verify_stage(tracer, root, &mut diags, "horizontal", || {
                 souffle_verify::verify_program_stage(&transformed, "horizontal")
             })?;
-            if let Some(pre) = pre {
+            if certify {
                 self.certify_stage(tracer, root, &mut diags, &mut certs, "horizontal", || {
                     souffle_verify::certify_transform(&pre, &transformed, "horizontal", &log)
                 })?;
             }
         }
         if self.options.vertical {
-            let pre = certify.then(|| transformed.clone());
             let mut log = RewriteLog::new();
             let (p, s) = {
                 let _span = tracer.span_under("transform:vertical", root);
                 vertical_fuse_program_logged(&transformed, &mut log)
             };
-            transformed = p;
+            let pre = std::mem::replace(&mut transformed, p);
             stats.transform.vertical_fused = s.vertical_fused;
             self.verify_stage(tracer, root, &mut diags, "vertical", || {
                 souffle_verify::verify_program_stage(&transformed, "vertical")
             })?;
-            if let Some(pre) = pre {
+            if certify {
                 self.certify_stage(tracer, root, &mut diags, &mut certs, "vertical", || {
                     souffle_verify::certify_transform(&pre, &transformed, "vertical", &log)
                 })?;
@@ -396,13 +395,12 @@ impl Souffle {
         }
         // --- Data-movement-aware reduction fusion (fold inlining) ---
         if self.options.vertical && self.options.resolve_reduction_fusion() {
-            let pre = certify.then(|| transformed.clone());
             let mut log = RewriteLog::new();
             let (p, s) = {
                 let _span = tracer.span_under("transform:reduction", root);
                 reduction_fuse_program_logged(&transformed, &mut log)
             };
-            transformed = p;
+            let pre = std::mem::replace(&mut transformed, p);
             stats.fusion = s;
             tracer.add("fusion.candidates", s.candidates as u64);
             tracer.add("fusion.fused", s.fused as u64);
@@ -411,7 +409,7 @@ impl Souffle {
             self.verify_stage(tracer, root, &mut diags, "reduction-fusion", || {
                 souffle_verify::verify_program_stage(&transformed, "reduction-fusion")
             })?;
-            if let Some(pre) = pre {
+            if certify {
                 self.certify_stage(
                     tracer,
                     root,

@@ -44,7 +44,9 @@ const UNKNOWN: (i64, i64) = (i64::MIN / 4, i64::MAX / 4);
 /// structurally equal.
 pub fn canonicalize(expr: &ScalarExpr, bounds: &[(i64, i64)], binder_base: usize) -> ScalarExpr {
     let mut bounds = bounds.to_vec();
-    canon(&expr.simplified(), &mut bounds, binder_base, 0)
+    let mut expr = expr.clone();
+    expr.simplify();
+    canon(&expr, &mut bounds, binder_base, 0)
 }
 
 /// Three-valued truth of `cond` under the variable bounds: `Some(b)` when

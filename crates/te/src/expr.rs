@@ -655,105 +655,101 @@ impl ScalarExpr {
         }
     }
 
-    /// Replaces reads of operand `slot` with `replacement`, whose variables
-    /// are first substituted with the access's index expressions. This is
-    /// the inlining step of vertical transformation (§6.2).
-    pub fn inline_operand(&self, slot: usize, replacement: &ScalarExpr) -> ScalarExpr {
+    /// Replaces, in place, every read of an operand `o` for which
+    /// `replacement(o)` is `Some(body)` with `body`, whose variables are
+    /// first substituted with the access's index expressions. Other reads
+    /// are kept. This is the inlining step of vertical transformation
+    /// (§6.2); one walk inlines any number of producers.
+    pub fn inline_operands<'r>(&mut self, replacement: &dyn Fn(usize) -> Option<&'r ScalarExpr>) {
         match self {
-            ScalarExpr::Const(c) => ScalarExpr::Const(*c),
-            ScalarExpr::IndexValue(e) => ScalarExpr::IndexValue(e.clone()),
+            ScalarExpr::Const(_) | ScalarExpr::IndexValue(_) => {}
             ScalarExpr::Input { operand, indices } => {
-                if *operand == slot {
-                    // The replacement body's variables are the producer's
-                    // iteration variables; the access's index expressions say
-                    // how to compute them from the consumer's variables.
-                    replacement.substitute(indices, &|op| op)
-                } else {
-                    ScalarExpr::Input {
-                        operand: *operand,
-                        indices: indices.clone(),
-                    }
+                // The replacement body's variables are the producer's
+                // iteration variables; the access's index expressions say
+                // how to compute them from the consumer's variables.
+                if let Some(body) = replacement(*operand) {
+                    *self = body.substitute(indices, &|op| op);
                 }
             }
-            ScalarExpr::Unary(op, a) => {
-                ScalarExpr::Unary(*op, Box::new(a.inline_operand(slot, replacement)))
+            ScalarExpr::Unary(_, a) | ScalarExpr::Reduce { body: a, .. } => {
+                a.inline_operands(replacement)
             }
-            ScalarExpr::Binary(op, a, b) => ScalarExpr::Binary(
-                *op,
-                Box::new(a.inline_operand(slot, replacement)),
-                Box::new(b.inline_operand(slot, replacement)),
-            ),
-            ScalarExpr::Select {
-                cond,
-                on_true,
-                on_false,
-            } => ScalarExpr::Select {
-                cond: cond.clone(),
-                on_true: Box::new(on_true.inline_operand(slot, replacement)),
-                on_false: Box::new(on_false.inline_operand(slot, replacement)),
-            },
-            ScalarExpr::Reduce {
-                op,
-                var,
-                extent,
-                body,
-            } => ScalarExpr::Reduce {
-                op: *op,
-                var: *var,
-                extent: *extent,
-                body: Box::new(body.inline_operand(slot, replacement)),
-            },
+            ScalarExpr::Binary(_, a, b)
+            | ScalarExpr::Select {
+                on_true: a,
+                on_false: b,
+                ..
+            } => {
+                a.inline_operands(replacement);
+                b.inline_operands(replacement);
+            }
         }
     }
 
-    /// Remaps operand slots without touching index variables.
-    pub fn remap_operands(&self, f: &dyn Fn(usize) -> usize) -> ScalarExpr {
-        let n = self.max_var().map_or(0, |m| m + 1);
-        let identity: Vec<IndexExpr> = (0..n).map(IndexExpr::Var).collect();
-        self.substitute(&identity, f)
+    /// Remaps operand slots in place without touching index variables.
+    pub fn remap_operands(&mut self, f: &dyn Fn(usize) -> usize) {
+        match self {
+            ScalarExpr::Const(_) | ScalarExpr::IndexValue(_) => {}
+            ScalarExpr::Input { operand, .. } => *operand = f(*operand),
+            ScalarExpr::Unary(_, a) | ScalarExpr::Reduce { body: a, .. } => a.remap_operands(f),
+            ScalarExpr::Binary(_, a, b)
+            | ScalarExpr::Select {
+                on_true: a,
+                on_false: b,
+                ..
+            } => {
+                a.remap_operands(f);
+                b.remap_operands(f);
+            }
+        }
     }
 
-    /// Algebraic simplification: constant folding, additive/multiplicative
-    /// identities, and elimination of statically decidable selects.
-    /// Applied after vertical inlining (§6.2), where composed bodies
-    /// accumulate `x + 0`-style residue and guards whose predicates became
-    /// constant under index substitution.
-    pub fn simplified(&self) -> ScalarExpr {
+    /// Algebraic simplification, in place: constant folding,
+    /// additive/multiplicative identities, and elimination of statically
+    /// decidable selects. Applied after vertical inlining (§6.2), where
+    /// composed bodies accumulate `x + 0`-style residue and guards whose
+    /// predicates became constant under index substitution.
+    pub fn simplify(&mut self) {
+        // What a binary node reduces to once its operands are simplified.
+        enum Keep {
+            Folded(f32),
+            Lhs,
+            Rhs,
+            Both,
+        }
         match self {
-            ScalarExpr::Const(_) | ScalarExpr::Input { .. } => self.clone(),
-            ScalarExpr::IndexValue(e) => match e {
-                IndexExpr::Const(c) => ScalarExpr::Const(*c as f32),
-                _ => ScalarExpr::IndexValue(e.clone()),
-            },
-            ScalarExpr::Unary(op, a) => {
-                let a = a.simplified();
-                if let ScalarExpr::Const(c) = a {
-                    return ScalarExpr::Const(op.apply(c));
+            ScalarExpr::Const(_) | ScalarExpr::Input { .. } => {}
+            ScalarExpr::IndexValue(e) => {
+                if let IndexExpr::Const(c) = e {
+                    *self = ScalarExpr::Const(*c as f32);
                 }
-                ScalarExpr::Unary(*op, Box::new(a))
+            }
+            ScalarExpr::Unary(op, a) => {
+                a.simplify();
+                if let ScalarExpr::Const(c) = **a {
+                    *self = ScalarExpr::Const(op.apply(c));
+                }
             }
             ScalarExpr::Binary(op, a, b) => {
-                let a = a.simplified();
-                let b = b.simplified();
-                match (op, &a, &b) {
+                a.simplify();
+                b.simplify();
+                let keep = match (*op, &**a, &**b) {
                     (_, ScalarExpr::Const(x), ScalarExpr::Const(y)) => {
-                        ScalarExpr::Const(op.apply(*x, *y))
+                        Keep::Folded(op.apply(*x, *y))
                     }
-                    (BinaryOp::Add, ScalarExpr::Const(z), other)
-                    | (BinaryOp::Add, other, ScalarExpr::Const(z))
-                        if *z == 0.0 =>
-                    {
-                        other.clone()
-                    }
-                    (BinaryOp::Sub, other, ScalarExpr::Const(z)) if *z == 0.0 => other.clone(),
-                    (BinaryOp::Mul, ScalarExpr::Const(o), other)
-                    | (BinaryOp::Mul, other, ScalarExpr::Const(o))
-                        if *o == 1.0 =>
-                    {
-                        other.clone()
-                    }
-                    (BinaryOp::Div, other, ScalarExpr::Const(o)) if *o == 1.0 => other.clone(),
-                    _ => ScalarExpr::Binary(*op, Box::new(a), Box::new(b)),
+                    (BinaryOp::Add, ScalarExpr::Const(z), _) if *z == 0.0 => Keep::Rhs,
+                    (BinaryOp::Add, _, ScalarExpr::Const(z)) if *z == 0.0 => Keep::Lhs,
+                    (BinaryOp::Sub, _, ScalarExpr::Const(z)) if *z == 0.0 => Keep::Lhs,
+                    (BinaryOp::Mul, ScalarExpr::Const(o), _) if *o == 1.0 => Keep::Rhs,
+                    (BinaryOp::Mul, _, ScalarExpr::Const(o)) if *o == 1.0 => Keep::Lhs,
+                    (BinaryOp::Div, _, ScalarExpr::Const(o)) if *o == 1.0 => Keep::Lhs,
+                    _ => Keep::Both,
+                };
+                match keep {
+                    Keep::Folded(c) => *self = ScalarExpr::Const(c),
+                    Keep::Lhs => *self = std::mem::replace(&mut **a, ScalarExpr::Const(0.0)),
+                    Keep::Rhs => *self = std::mem::replace(&mut **b, ScalarExpr::Const(0.0)),
+                    Keep::Both => {}
                 }
             }
             ScalarExpr::Select {
@@ -763,31 +759,18 @@ impl ScalarExpr {
             } => {
                 // A predicate over no variables is a constant.
                 if cond.max_var().is_none() {
-                    return if cond.eval(&[]) {
-                        on_true.simplified()
-                    } else {
-                        on_false.simplified()
-                    };
-                }
-                ScalarExpr::Select {
-                    cond: cond.clone(),
-                    on_true: Box::new(on_true.simplified()),
-                    on_false: Box::new(on_false.simplified()),
+                    let taken = if cond.eval(&[]) { on_true } else { on_false };
+                    let mut taken = std::mem::replace(&mut **taken, ScalarExpr::Const(0.0));
+                    taken.simplify();
+                    *self = taken;
+                } else {
+                    on_true.simplify();
+                    on_false.simplify();
                 }
             }
             // Folds only simplify their body: collapsing the fold itself
             // (e.g. Sum of a constant) would change float rounding.
-            ScalarExpr::Reduce {
-                op,
-                var,
-                extent,
-                body,
-            } => ScalarExpr::Reduce {
-                op: *op,
-                var: *var,
-                extent: *extent,
-                body: Box::new(body.simplified()),
-            },
+            ScalarExpr::Reduce { body, .. } => body.simplify(),
         }
     }
 }
@@ -887,12 +870,13 @@ mod tests {
     }
 
     #[test]
-    fn inline_operand_substitutes_producer_body() {
+    fn inline_operands_substitutes_producer_body() {
         // consumer: out[i] = in0[2*i] ; producer body: in0'[i] = exp(in0[i])
         let consumer = ScalarExpr::input(0, vec![IndexExpr::var(0).mul(2)]);
         let producer =
             ScalarExpr::unary(UnaryOp::Exp, ScalarExpr::input(0, vec![IndexExpr::var(0)]));
-        let fused = consumer.inline_operand(0, &producer);
+        let mut fused = consumer;
+        fused.inline_operands(&|o| (o == 0).then_some(&producer));
         // fused should be exp(in0[2*i])
         match &fused {
             ScalarExpr::Unary(UnaryOp::Exp, inner) => match inner.as_ref() {
@@ -916,6 +900,11 @@ mod tests {
         assert_eq!(e.max_var(), Some(3));
     }
 
+    fn simplified(mut e: ScalarExpr) -> ScalarExpr {
+        e.simplify();
+        e
+    }
+
     #[test]
     fn simplify_folds_constants_and_identities() {
         // exp(1 + 0) -> const
@@ -927,16 +916,16 @@ mod tests {
                 ScalarExpr::Const(0.0),
             ),
         );
-        match e.simplified() {
+        match simplified(e) {
             ScalarExpr::Const(c) => assert!((c - std::f32::consts::E).abs() < 1e-6),
             other => panic!("expected const, got {other}"),
         }
         // x * 1 -> x ; x + 0 -> x
         let x = ScalarExpr::input(0, vec![IndexExpr::var(0)]);
         let e = ScalarExpr::binary(BinaryOp::Mul, x.clone(), ScalarExpr::Const(1.0));
-        assert_eq!(e.simplified(), x);
+        assert_eq!(simplified(e), x);
         let e = ScalarExpr::binary(BinaryOp::Add, ScalarExpr::Const(0.0), x.clone());
-        assert_eq!(e.simplified(), x);
+        assert_eq!(simplified(e), x);
     }
 
     #[test]
@@ -947,13 +936,13 @@ mod tests {
             x.clone(),
             ScalarExpr::Const(0.0),
         );
-        assert_eq!(e.simplified(), x);
+        assert_eq!(simplified(e), x);
         let e = ScalarExpr::select(
             Cond::cmp(CmpOp::Gt, IndexExpr::constant(1), IndexExpr::constant(2)),
             x,
             ScalarExpr::Const(0.0),
         );
-        assert_eq!(e.simplified(), ScalarExpr::Const(0.0));
+        assert_eq!(simplified(e), ScalarExpr::Const(0.0));
     }
 
     #[test]
@@ -963,7 +952,7 @@ mod tests {
             ScalarExpr::input(0, vec![IndexExpr::var(0)]),
             ScalarExpr::Const(0.0),
         );
-        assert_eq!(e.simplified(), e);
+        assert_eq!(simplified(e.clone()), e);
     }
 
     #[test]

@@ -78,3 +78,45 @@ pub use sym::{
 };
 pub use te::{ReduceOp, TeId, TensorExpr};
 pub use vm::{thread_count, THREADS_ENV};
+
+/// Reads the on/off switch in the environment variable `name`: `on`, `1`
+/// or `true` is `Some(true)`, `off`, `0` or `false` is `Some(false)`,
+/// ignoring case and surrounding whitespace; unset or anything else is
+/// `None`. Every `SOUFFLE_*` on/off override is parsed here.
+pub fn env_flag(name: &str) -> Option<bool> {
+    match std::env::var(name)
+        .ok()?
+        .trim()
+        .to_ascii_lowercase()
+        .as_str()
+    {
+        "on" | "1" | "true" => Some(true),
+        "off" | "0" | "false" => Some(false),
+        _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn env_flag_reads_on_and_off_and_nothing_else() {
+        // A variable of this test's own, so parallel tests never see it.
+        let name = "SOUFFLE_TE_ENV_FLAG_TEST";
+        std::env::remove_var(name);
+        assert_eq!(super::env_flag(name), None);
+        for (value, want) in [
+            (" On ", Some(true)),
+            ("1", Some(true)),
+            ("TRUE", Some(true)),
+            ("off", Some(false)),
+            ("0", Some(false)),
+            ("False", Some(false)),
+            ("yes", None),
+            ("", None),
+        ] {
+            std::env::set_var(name, value);
+            assert_eq!(super::env_flag(name), want, "{value:?}");
+        }
+        std::env::remove_var(name);
+    }
+}

@@ -33,7 +33,7 @@
 use crate::arena::{ArenaStats, BufferArena};
 use crate::compile::{CompiledProgram, CompiledTe};
 use crate::interp::EvalError;
-use crate::kernels::{env_kernel_tier, ExecOpts, KernelStats};
+use crate::kernels::{ExecOpts, KernelStats, KERNEL_TIER_ENV};
 use crate::pool::{PoolStats, ThreadPool};
 use crate::program::{TensorId, TensorKind};
 use crate::vm::{detected_parallelism, env_threads, run_chunk, thread_count, SERIAL_THRESHOLD};
@@ -373,7 +373,9 @@ impl Runtime {
     /// the explicit [`RuntimeOptions::kernel_tier`] if set, otherwise the
     /// `SOUFFLE_KERNEL_TIER` environment variable, otherwise on.
     pub fn kernels_enabled(&self) -> bool {
-        self.kernel_tier.or_else(env_kernel_tier).unwrap_or(true)
+        self.kernel_tier
+            .or_else(|| crate::env_flag(KERNEL_TIER_ENV))
+            .unwrap_or(true)
     }
 
     /// Whether relaxed-reduction fast math is enabled on this runtime.

@@ -1,14 +1,14 @@
 //! Horizontal transformation of independent TEs (§6.1, Fig. 3).
 
-use crate::rewrite::{dedup_inputs, rebuild_program, TransformStats};
+use crate::rewrite::{rebuild_program, TransformStats};
 use souffle_affine::IndexExpr;
 use souffle_analysis::TeGraph;
 use souffle_te::{
     CmpOp, Cond, ReduceOp, Rewrite, RewriteLog, ScalarExpr, TeId, TeProgram, TensorExpr, TensorId,
-    TensorKind,
+    TensorInfo, TensorKind,
 };
 use souffle_tensor::Shape;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Maximum TEs merged into one horizontal group.
 const MAX_GROUP: usize = 8;
@@ -95,16 +95,16 @@ pub fn find_horizontal_groups(program: &TeProgram, graph: &TeGraph) -> Vec<Vec<T
 /// Merges one group of independent TEs into a single concatenated TE plus
 /// per-member view TEs re-extracting the original outputs (so downstream
 /// consumers are untouched; the views are pure memory operators that the
-/// vertical pass subsequently folds away).
+/// vertical pass subsequently folds away). The new TEs are appended to
+/// `out`; removing the members is left to the caller.
 fn fuse_group(
     program: &TeProgram,
-    tes: &mut Vec<TensorExpr>,
-    extra_tensors: &mut Vec<(String, Shape, souffle_tensor::DType)>,
-    next_tensor_id: &mut usize,
+    tensors: &mut Vec<TensorInfo>,
+    out: &mut Vec<TensorExpr>,
     group: &[TeId],
     log: &mut RewriteLog,
 ) {
-    let members: Vec<TensorExpr> = group.iter().map(|&id| program.te(id).clone()).collect();
+    let members: Vec<&TensorExpr> = group.iter().map(|&id| program.te(id)).collect();
     let rank = program.output_shape(group[0]).rank();
     let dim0_total: i64 = group
         .iter()
@@ -114,40 +114,51 @@ fn fuse_group(
     out_dims[0] = dim0_total;
     let dtype = program.tensor(members[0].output).dtype;
 
-    // Combined input list and per-member slot offsets.
+    // Combined input list, each tensor once in first-occurrence order,
+    // and every member's operand slots mapped into it.
     let mut inputs: Vec<TensorId> = Vec::new();
-    let mut offsets = Vec::with_capacity(members.len());
-    for m in &members {
-        offsets.push(inputs.len());
-        inputs.extend(m.inputs.iter().copied());
-    }
+    let mut slot_of: HashMap<TensorId, usize> = HashMap::new();
+    let slot_maps: Vec<Vec<usize>> = members
+        .iter()
+        .map(|m| {
+            m.inputs
+                .iter()
+                .map(|&t| {
+                    *slot_of.entry(t).or_insert_with(|| {
+                        inputs.push(t);
+                        inputs.len() - 1
+                    })
+                })
+                .collect()
+        })
+        .collect();
 
     // Each member's body, with axis-0 shifted into its segment and operand
-    // slots offset into the combined list.
+    // slots mapped into the combined list.
     let n_vars = rank + members[0].reduce.len();
     let mut cum = 0i64;
     let mut bodies = Vec::with_capacity(members.len());
     let mut cuts = Vec::with_capacity(members.len());
-    for (m, &off) in members.iter().zip(&offsets) {
+    for (m, slots) in members.iter().zip(&slot_maps) {
         let mut subs: Vec<IndexExpr> = (0..n_vars).map(IndexExpr::Var).collect();
         subs[0] = IndexExpr::var(0).sub(IndexExpr::constant(cum));
-        bodies.push(m.body.substitute(&subs, &|o| o + off));
+        bodies.push(m.body.substitute(&subs, &|o| slots[o]));
         cum += program.tensor(m.output).shape.dim(0);
         cuts.push(cum);
     }
 
     // Fold into nested if_then_else on the concat axis (Fig. 3).
-    let mut body = bodies.pop().expect("group is non-empty");
-    for i in (0..bodies.len()).rev() {
+    let mut segments = bodies.into_iter().zip(&cuts).rev();
+    let (mut body, _) = segments.next().expect("group is non-empty");
+    for (segment, &cut) in segments {
         body = ScalarExpr::select(
-            Cond::cmp(CmpOp::Lt, IndexExpr::var(0), IndexExpr::constant(cuts[i])),
-            bodies[i].clone(),
+            Cond::cmp(CmpOp::Lt, IndexExpr::var(0), IndexExpr::constant(cut)),
+            segment,
             body,
         );
     }
 
-    let concat_tensor = TensorId(*next_tensor_id);
-    *next_tensor_id += 1;
+    let concat_tensor = TensorId(tensors.len());
     let concat_name = format!(
         "hfuse({})",
         members
@@ -156,32 +167,33 @@ fn fuse_group(
             .collect::<Vec<_>>()
             .join("+")
     );
-    extra_tensors.push((concat_name.clone(), Shape::new(out_dims), dtype));
-    let mut fused = TensorExpr {
+    tensors.push(TensorInfo {
+        name: concat_name.clone(),
+        shape: Shape::new(out_dims),
+        dtype,
+        kind: TensorKind::Intermediate,
+    });
+    out.push(TensorExpr {
         name: concat_name,
         output: concat_tensor,
         inputs,
         reduce: members[0].reduce.clone(),
         reduce_op: members[0].reduce_op,
         body,
-    };
-    dedup_inputs(&mut fused);
-
-    // Replace members with views of the fused output.
-    let member_outputs: Vec<TensorId> = members.iter().map(|m| m.output).collect();
-    log.push(Rewrite::HorizontalGroup {
-        members: member_outputs.clone(),
-        concat: concat_tensor,
-        cuts: cuts.clone(),
     });
-    tes.retain(|te| !member_outputs.contains(&te.output));
-    tes.push(fused);
+
+    // Views of the fused output stand in for the members.
+    log.push(Rewrite::HorizontalGroup {
+        members: members.iter().map(|m| m.output).collect(),
+        concat: concat_tensor,
+        cuts,
+    });
     let mut start = 0i64;
     for m in &members {
         let extent = program.tensor(m.output).shape.dim(0);
         let mut idx: Vec<IndexExpr> = (0..rank).map(IndexExpr::Var).collect();
         idx[0] = IndexExpr::var(0).add(IndexExpr::constant(start));
-        tes.push(TensorExpr {
+        out.push(TensorExpr {
             name: format!("{}.view", m.name),
             output: m.output,
             inputs: vec![concat_tensor],
@@ -218,25 +230,21 @@ pub fn horizontal_fuse_program_logged(
             },
         );
     }
-    let mut tes: Vec<TensorExpr> = program.tes().to_vec();
-    let mut extra: Vec<(String, Shape, souffle_tensor::DType)> = Vec::new();
-    let mut next_tensor_id = program.num_tensors();
+    let mut tensors = program.tensors().to_vec();
+    let mut fused: Vec<TensorExpr> = Vec::new();
     for group in &groups {
-        fuse_group(
-            program,
-            &mut tes,
-            &mut extra,
-            &mut next_tensor_id,
-            group,
-            log,
-        );
+        fuse_group(program, &mut tensors, &mut fused, group, log);
     }
-    // Rebuild over an extended tensor table.
-    let mut base = program.clone();
-    for (name, shape, dtype) in extra {
-        base.add_tensor(&name, shape, dtype, TensorKind::Intermediate);
-    }
-    let out = rebuild_program(&base, tes);
+    // Drop every member in one pass: the kept TEs stay in program order,
+    // followed by each group's fused TE and its views.
+    let grouped: HashSet<TeId> = groups.iter().flatten().copied().collect();
+    let mut tes: Vec<TensorExpr> = program
+        .te_ids()
+        .filter(|id| !grouped.contains(id))
+        .map(|id| program.te(id).clone())
+        .collect();
+    tes.extend(fused);
+    let out = rebuild_program(&tensors, tes);
     let stats = TransformStats {
         horizontal_groups: groups.len(),
         vertical_fused: 0,

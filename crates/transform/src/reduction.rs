@@ -62,7 +62,7 @@
 //! operations of the unfused program in the same order — the rewrite is
 //! bit-exact, and the pipeline oracle re-checks it per stage.
 
-use crate::rewrite::{compact_inputs, dedup_inputs, rebuild_program};
+use crate::rewrite::{normalize_inputs, rebuild_program};
 use crate::traffic::te_traffic;
 use souffle_affine::IndexExpr;
 use souffle_te::{Rewrite, RewriteLog, ScalarExpr, TeProgram, TensorExpr, TensorId, TensorKind};
@@ -74,20 +74,6 @@ use souffle_te::{Rewrite, RewriteLog, ScalarExpr, TeProgram, TensorExpr, TensorI
 /// kernel-tier knob), so CI can sweep the stage across whole differential
 /// suites without touching call sites.
 pub const REDUCTION_FUSION_ENV: &str = "SOUFFLE_REDUCTION_FUSION";
-
-/// The `SOUFFLE_REDUCTION_FUSION` override, if set and parseable.
-pub fn env_reduction_fusion() -> Option<bool> {
-    match std::env::var(REDUCTION_FUSION_ENV)
-        .ok()?
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "on" | "1" | "true" => Some(true),
-        "off" | "0" | "false" => Some(false),
-        _ => None,
-    }
-}
 
 /// Counters for one reduction-fusion run, surfaced as `fusion.*` on the
 /// trace spine and in `Souffle::report()`.
@@ -196,7 +182,7 @@ pub fn reduction_fuse_program_logged(
     }
 
     stats.tes_after = tes.len();
-    (rebuild_program(program, tes), stats)
+    (rebuild_program(program.tensors(), tes), stats)
 }
 
 /// Whether a TE is a reduction this pass can inline: single reduction
@@ -266,7 +252,7 @@ fn inline_reduction(
     let binder = consumer_rank.max(consumer.body.max_var().map_or(0, |m| m + 1));
 
     // Rename the reduction variable to the binder; iteration variables
-    // stay 0..rank — inline_operand substitutes them with each access's
+    // stay 0..rank — inline_operands substitutes them with each access's
     // index expressions (which only mention consumer variables below the
     // binder, so no capture is possible).
     let r_rank = program.tensor(reduction.output).shape.rank();
@@ -282,9 +268,9 @@ fn inline_reduction(
     );
 
     out.inputs.extend(reduction.inputs.iter().copied());
-    out.body = out.body.inline_operand(slot, &folded);
-    dedup_inputs(&mut out);
-    compact_inputs(&mut out);
+    out.body
+        .inline_operands(&|o| (o == slot).then_some(&folded));
+    normalize_inputs(&mut out);
     out
 }
 

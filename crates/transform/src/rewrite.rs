@@ -1,7 +1,8 @@
 //! Shared program-rewriting machinery for the transformations.
 
-use souffle_te::{ScalarExpr, TeProgram, TensorExpr, TensorId};
-use std::collections::{HashMap, HashSet};
+use souffle_te::{ScalarExpr, TeProgram, TensorExpr, TensorId, TensorInfo};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Statistics of a transformation run, used by the ablation study
 /// (Table 4) and by tests.
@@ -17,27 +18,28 @@ pub struct TransformStats {
     pub tes_after: usize,
 }
 
-/// Rebuilds a program from an edited TE list, keeping the original tensor
-/// table (ids stay stable) and re-sorting TEs topologically (stable in the
-/// original order). New tensors introduced by a rewrite must already be in
-/// `extra_tensors`-extended table of `base`.
+/// Builds a program over the tensor table `tensors` (ids stay stable;
+/// tensors a rewrite introduced are appended to the original table) from
+/// an edited TE list, re-sorting TEs topologically (stable in list
+/// order).
 ///
 /// # Panics
 ///
 /// Panics if the TE list contains a dependence cycle.
-pub fn rebuild_program(base: &TeProgram, tes: Vec<TensorExpr>) -> TeProgram {
+pub fn rebuild_program(tensors: &[TensorInfo], tes: Vec<TensorExpr>) -> TeProgram {
     let mut out = TeProgram::new();
-    for t in base.tensors() {
+    for t in tensors {
         out.add_tensor(&t.name, t.shape.clone(), t.dtype, t.kind);
     }
-    for te in toposort(base, tes) {
+    for te in toposort(tes) {
         out.push_te(te);
     }
     out
 }
 
-/// Stable topological sort of a TE list by tensor dependences.
-fn toposort(base: &TeProgram, tes: Vec<TensorExpr>) -> Vec<TensorExpr> {
+/// Stable topological sort of a TE list by tensor dependences: of the
+/// ready TEs, the one earliest in the list goes first.
+fn toposort(tes: Vec<TensorExpr>) -> Vec<TensorExpr> {
     let producer: HashMap<TensorId, usize> = tes
         .iter()
         .enumerate()
@@ -47,88 +49,75 @@ fn toposort(base: &TeProgram, tes: Vec<TensorExpr>) -> Vec<TensorExpr> {
     let mut indegree = vec![0usize; n];
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, te) in tes.iter().enumerate() {
-        let mut preds = HashSet::new();
-        for input in &te.inputs {
-            if let Some(&p) = producer.get(input) {
-                if p != i {
-                    preds.insert(p);
-                }
-            }
-        }
+        let mut preds: Vec<usize> = te
+            .inputs
+            .iter()
+            .filter_map(|input| producer.get(input).copied())
+            .filter(|&p| p != i)
+            .collect();
+        preds.sort_unstable();
+        preds.dedup();
         indegree[i] = preds.len();
         for p in preds {
             succs[p].push(i);
         }
     }
-    // Min-heap on original index for stability; a sorted Vec suffices at
-    // these sizes.
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    ready.sort_unstable();
+    let mut ready: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&i| indegree[i] == 0).map(Reverse).collect();
     let mut order = Vec::with_capacity(n);
-    while let Some(&i) = ready.first() {
-        ready.remove(0);
+    while let Some(Reverse(i)) = ready.pop() {
         order.push(i);
-        let mut newly = Vec::new();
         for &s in &succs[i] {
             indegree[s] -= 1;
             if indegree[s] == 0 {
-                newly.push(s);
+                ready.push(Reverse(s));
             }
-        }
-        for s in newly {
-            let pos = ready.partition_point(|&x| x < s);
-            ready.insert(pos, s);
         }
     }
     assert_eq!(order.len(), n, "TE dependence cycle after rewrite");
     let mut slots: Vec<Option<TensorExpr>> = tes.into_iter().map(Some).collect();
-    let _ = base;
     order
         .into_iter()
         .map(|i| slots[i].take().expect("each TE emitted once"))
         .collect()
 }
 
-/// Drops input slots a TE body no longer reads and remaps the remaining
-/// operand indices to be dense.
-pub fn compact_inputs(te: &mut TensorExpr) {
-    let used: HashSet<usize> = te.body.accesses().into_iter().map(|(o, _)| o).collect();
-    if used.len() == te.inputs.len() {
+/// Merges repeated tensors in a TE's input list and drops the ones its
+/// body no longer reads, keeping first-occurrence order. The body's
+/// operand slots are rewritten once, and not at all when the input list
+/// was already distinct and fully read.
+///
+/// # Panics
+///
+/// Panics if the body reads a slot past the end of the input list.
+pub fn normalize_inputs(te: &mut TensorExpr) {
+    let mut read = vec![false; te.inputs.len()];
+    for (slot, _) in te.body.accesses() {
+        read[slot] = true;
+    }
+    // Input lists are short, so linear scans beat hashing here.
+    let mut inputs: Vec<TensorId> = Vec::with_capacity(te.inputs.len());
+    let remap: Vec<usize> = te
+        .inputs
+        .iter()
+        .enumerate()
+        .map(|(old, t)| {
+            if let Some(new) = inputs.iter().position(|u| u == t) {
+                return new;
+            }
+            if !te.inputs.iter().zip(&read).any(|(u, &r)| r && u == t) {
+                // Never read: the body does not ask for this slot.
+                return old;
+            }
+            inputs.push(*t);
+            inputs.len() - 1
+        })
+        .collect();
+    if inputs.len() == te.inputs.len() {
         return;
     }
-    let mut remap: HashMap<usize, usize> = HashMap::new();
-    let mut new_inputs = Vec::new();
-    for (old, &tensor) in te.inputs.iter().enumerate() {
-        if used.contains(&old) {
-            remap.insert(old, new_inputs.len());
-            new_inputs.push(tensor);
-        }
-    }
-    te.body = te.body.remap_operands(&|o| *remap.get(&o).unwrap_or(&o));
-    te.inputs = new_inputs;
-}
-
-/// Deduplicates repeated tensors in a TE's input list, remapping body
-/// operand slots to the first occurrence.
-pub fn dedup_inputs(te: &mut TensorExpr) {
-    let mut first: HashMap<TensorId, usize> = HashMap::new();
-    let mut remap: HashMap<usize, usize> = HashMap::new();
-    let mut new_inputs = Vec::new();
-    for (old, &tensor) in te.inputs.iter().enumerate() {
-        match first.get(&tensor) {
-            Some(&slot) => {
-                remap.insert(old, slot);
-            }
-            None => {
-                let slot = new_inputs.len();
-                first.insert(tensor, slot);
-                remap.insert(old, slot);
-                new_inputs.push(tensor);
-            }
-        }
-    }
-    te.body = te.body.remap_operands(&|o| remap[&o]);
-    te.inputs = new_inputs;
+    te.body.remap_operands(&|o| remap[o]);
+    te.inputs = inputs;
 }
 
 /// Whether a TE's body is a pure view of one input (no arithmetic): a
@@ -150,7 +139,7 @@ mod tests {
         let a = p.add_input("A", Shape::new(vec![4]), DType::F32);
         let b = builders::exp(&mut p, "e", a);
         let _ = builders::relu(&mut p, "r", b);
-        let rebuilt = rebuild_program(&p, p.tes().to_vec());
+        let rebuilt = rebuild_program(p.tensors(), p.tes().to_vec());
         assert_eq!(rebuilt.num_tes(), 2);
         assert!(rebuilt.validate().is_ok());
     }
@@ -164,13 +153,13 @@ mod tests {
         // Reverse the TE order; rebuild must restore topological order.
         let mut tes = p.tes().to_vec();
         tes.reverse();
-        let rebuilt = rebuild_program(&p, tes);
+        let rebuilt = rebuild_program(p.tensors(), tes);
         assert!(rebuilt.validate().is_ok());
         assert_eq!(rebuilt.te(souffle_te::TeId(0)).name, "e");
     }
 
     #[test]
-    fn compact_inputs_drops_unused() {
+    fn normalize_inputs_drops_unused() {
         let mut p = TeProgram::new();
         let a = p.add_input("A", Shape::new(vec![4]), DType::F32);
         let b = p.add_input("B", Shape::new(vec![4]), DType::F32);
@@ -178,13 +167,13 @@ mod tests {
         let mut te = p.te(souffle_te::TeId(0)).clone();
         // Rewrite body to only read operand 1.
         te.body = ScalarExpr::input(1, vec![IndexExpr::var(0)]);
-        compact_inputs(&mut te);
+        normalize_inputs(&mut te);
         assert_eq!(te.inputs, vec![b]);
         assert_eq!(te.body.accesses()[0].0, 0);
     }
 
     #[test]
-    fn dedup_inputs_merges_repeats() {
+    fn normalize_inputs_merges_repeats() {
         let mut p = TeProgram::new();
         let a = p.add_input("A", Shape::new(vec![4]), DType::F32);
         let mut te = TensorExpr {
@@ -199,7 +188,7 @@ mod tests {
                 ScalarExpr::input(1, vec![IndexExpr::var(0)]),
             ),
         };
-        dedup_inputs(&mut te);
+        normalize_inputs(&mut te);
         assert_eq!(te.inputs, vec![a]);
         for (o, _) in te.body.accesses() {
             assert_eq!(o, 0);

@@ -1,6 +1,6 @@
 //! Vertical transformation of one-relies-on-one chains (§6.2).
 
-use crate::rewrite::{compact_inputs, dedup_inputs, is_pure_view, rebuild_program, TransformStats};
+use crate::rewrite::{is_pure_view, normalize_inputs, rebuild_program, TransformStats};
 use souffle_te::{Rewrite, RewriteLog, TeProgram, TensorExpr, TensorId, TensorKind};
 use std::collections::HashMap;
 
@@ -89,21 +89,20 @@ pub fn vertical_fuse_program_logged(
                 };
                 // Remap the producer's operand slots past the consumer's,
                 // then inline the producer body at the access's indices.
-                let producer = tes[pi].clone();
+                let mut producer = tes[pi].clone();
                 log.push(Rewrite::Inlined {
                     producer_output: producer.output,
                     consumer_output: tes[ci].output,
                 });
                 let consumer = &mut tes[ci];
                 let base = consumer.inputs.len();
-                let shifted_body = producer.body.remap_operands(&|o| o + base);
+                producer.body.remap_operands(&|o| o + base);
                 consumer.inputs.extend(producer.inputs.iter().copied());
-                consumer.body = consumer
+                consumer
                     .body
-                    .inline_operand(slot, &shifted_body)
-                    .simplified();
-                dedup_inputs(consumer);
-                compact_inputs(consumer);
+                    .inline_operands(&|o| (o == slot).then_some(&producer.body));
+                consumer.body.simplify();
+                normalize_inputs(consumer);
                 fused += 1;
                 changed = true;
             }
@@ -125,7 +124,7 @@ pub fn vertical_fuse_program_logged(
     }
 
     let tes_after = tes.len();
-    let out = rebuild_program(program, tes);
+    let out = rebuild_program(program.tensors(), tes);
     (
         out,
         TransformStats {

@@ -62,24 +62,10 @@ use std::fmt;
 /// debug-build default.
 pub const CERTIFY_ENV: &str = "SOUFFLE_CERTIFY";
 
-/// The `SOUFFLE_CERTIFY` override, if set and parseable.
-pub fn env_certify() -> Option<bool> {
-    match std::env::var(CERTIFY_ENV)
-        .ok()?
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "on" | "1" | "true" => Some(true),
-        "off" | "0" | "false" => Some(false),
-        _ => None,
-    }
-}
-
 /// Whether certification should run absent an explicit option: the env
 /// override if present, else on in debug builds (mirroring `verify`).
 pub fn certify_default() -> bool {
-    env_certify().unwrap_or(cfg!(debug_assertions))
+    souffle_te::env_flag(CERTIFY_ENV).unwrap_or(cfg!(debug_assertions))
 }
 
 /// Unfolded bodies beyond this node count are not canonicalized; the
@@ -208,8 +194,9 @@ pub fn certify_transform(
 
         ub.overflow = false;
         ua.overflow = false;
-        let body_b = ub.foldified(t, &mut fresh);
-        let body_a = ua.foldified(t, &mut fresh);
+        ub.foldify(t, &mut fresh);
+        ua.foldify(t, &mut fresh);
+        let (body_b, body_a) = (ub.foldified(t), ua.foldified(t));
         if !ub.overflow && !ua.overflow && body_b == body_a {
             // Syntactically identical unfoldings need no canonicalization.
             cert.matched += 1;
@@ -219,7 +206,7 @@ pub fn certify_transform(
         let mut outcome = if ub.overflow || ua.overflow {
             None
         } else {
-            Some(canon_pair(&body_b, &body_a, &bounds))
+            Some(canon_pair(body_b, body_a, &bounds))
         };
 
         if !matches!(outcome, Some((ref cb, ref ca)) if cb == ca) {
@@ -233,12 +220,12 @@ pub fn certify_transform(
             });
             db.overflow = false;
             da.overflow = false;
-            let body_b = db.foldified(t, &mut fresh);
-            let body_a = da.foldified(t, &mut fresh);
+            db.foldify(t, &mut fresh);
+            da.foldify(t, &mut fresh);
             outcome = if db.overflow || da.overflow {
                 None
             } else {
-                Some(canon_pair(&body_b, &body_a, &bounds))
+                Some(canon_pair(db.foldified(t), da.foldified(t), &bounds))
             };
         }
 
@@ -571,10 +558,18 @@ struct Unfolder<'a> {
     inline: HashSet<TensorId>,
     all: bool,
     producers: &'a HashMap<TensorId, usize>,
-    memo: HashMap<TensorId, (ScalarExpr, bool)>,
-    /// Sticky within one `foldified` call tree; reset by the caller
-    /// before each top-level query.
+    memo: HashMap<TensorId, Unfolded>,
+    /// Sticky within one `foldify` call tree; reset by the caller before
+    /// each top-level query.
     overflow: bool,
+}
+
+/// One memoized unfolding.
+struct Unfolded {
+    body: ScalarExpr,
+    /// The unfolding hit the node budget; `body` is partial.
+    overflow: bool,
+    nodes: usize,
 }
 
 impl<'a> Unfolder<'a> {
@@ -602,19 +597,18 @@ impl<'a> Unfolder<'a> {
         }
     }
 
-    /// The unfolded definition of `t` as an *expression* usable at an
-    /// access site: TE-level reduction axes become explicit folds with
-    /// globally fresh binders, exactly mirroring what reduction fusion
-    /// constructs.
-    fn foldified(&mut self, t: TensorId, fresh: &mut usize) -> ScalarExpr {
-        if let Some((b, ov)) = self.memo.get(&t) {
-            if *ov {
-                self.overflow = true;
-            }
-            return b.clone();
+    /// Memoizes the unfolded definition of `t` as an *expression* usable
+    /// at an access site: TE-level reduction axes become explicit folds
+    /// with globally fresh binders, exactly mirroring what reduction
+    /// fusion constructs. Returns its node count.
+    fn foldify(&mut self, t: TensorId, fresh: &mut usize) -> usize {
+        if let Some(u) = self.memo.get(&t) {
+            self.overflow |= u.overflow;
+            return u.nodes;
         }
         let te = &self.program.tes()[self.producers[&t]];
-        let mut b = te.body.remap_operands(&|o| te.inputs[o].0);
+        let mut b = te.body.clone();
+        b.remap_operands(&|o| te.inputs[o].0);
         let rank = self.program.tensor(t).shape.rank();
         if let Some(op) = te.reduce_op {
             let k = te.reduce.len();
@@ -637,46 +631,69 @@ impl<'a> Unfolder<'a> {
         }
         let outer = self.overflow;
         self.overflow = false;
-        let b = self.unfold(&b, fresh);
-        let ov = self.overflow;
-        self.overflow = outer || ov;
-        self.memo.insert(t, (b.clone(), ov));
-        b
+        let body = self.unfold(b, fresh);
+        let overflow = self.overflow;
+        self.overflow = outer || overflow;
+        let nodes = node_count(&body);
+        self.memo.insert(
+            t,
+            Unfolded {
+                body,
+                overflow,
+                nodes,
+            },
+        );
+        nodes
     }
 
-    fn unfold(&mut self, body: &ScalarExpr, fresh: &mut usize) -> ScalarExpr {
-        let mut b = body.clone();
-        loop {
-            let count = node_count(&b);
-            if count > MAX_UNFOLD_NODES {
-                self.overflow = true;
-                return b;
+    /// The memoized unfolding of `t`, after [`Unfolder::foldify`] ran on
+    /// it.
+    fn foldified(&self, t: TensorId) -> &ScalarExpr {
+        &self.memo[&t].body
+    }
+
+    /// Substitutes every inlinable access of `body` in one walk. Targets
+    /// are unfolded in first-seen access order, which fixes the order
+    /// their fold binders are drawn in, and each one's copies are budgeted
+    /// before any is made.
+    fn unfold(&mut self, mut body: ScalarExpr, fresh: &mut usize) -> ScalarExpr {
+        let mut count = node_count(&body);
+        if count > MAX_UNFOLD_NODES {
+            self.overflow = true;
+            return body;
+        }
+        let mut targets: Vec<(TensorId, usize)> = Vec::new();
+        let mut index: HashMap<TensorId, usize> = HashMap::new();
+        for (o, _) in body.accesses() {
+            let t = TensorId(o);
+            if !self.should_inline(t) {
+                continue;
             }
-            let mut target = None;
-            let mut n_sites = 0usize;
-            for (o, _) in b.accesses() {
-                let t = TensorId(o);
-                match target {
-                    None if self.should_inline(t) => {
-                        target = Some(t);
-                        n_sites = 1;
-                    }
-                    Some(cur) if cur == t => n_sites += 1,
-                    _ => {}
+            match index.get(&t) {
+                Some(&i) => targets[i].1 += 1,
+                None => {
+                    index.insert(t, targets.len());
+                    targets.push((t, 1));
                 }
             }
-            let Some(t) = target else {
-                return b;
-            };
-            let rep = self.foldified(t, fresh);
-            // Every access site gets a copy of `rep`: budget the growth
-            // before paying for it.
-            if count + n_sites.saturating_mul(node_count(&rep)) > MAX_UNFOLD_NODES {
-                self.overflow = true;
-                return b;
-            }
-            b = b.inline_operand(t.0, &rep);
         }
+        if targets.is_empty() {
+            return body;
+        }
+        for (t, sites) in targets {
+            let size = self.foldify(t, fresh);
+            if count + sites.saturating_mul(size) > MAX_UNFOLD_NODES {
+                self.overflow = true;
+                return body;
+            }
+            count += sites * (size - 1);
+        }
+        let memo = &self.memo;
+        body.inline_operands(&|o| {
+            let t = TensorId(o);
+            index.contains_key(&t).then(|| &memo[&t].body)
+        });
+        body
     }
 }
 
@@ -860,12 +877,12 @@ fn check_horizontal_group(
                     if mte.reduce == cte.reduce && mte.reduce_op == cte.reduce_op {
                         let rank = mshape.rank();
                         let nv = rank + cte.reduce.len();
-                        let branch = branches[i].remap_operands(&|o| cte.inputs[o].0);
-                        let n = branch.max_var().map_or(nv, |mv| (mv + 1).max(nv));
+                        let n = branches[i].max_var().map_or(nv, |mv| (mv + 1).max(nv));
                         let mut subs: Vec<IndexExpr> = (0..n).map(IndexExpr::var).collect();
                         subs[0] = IndexExpr::var(0).add(IndexExpr::constant(start));
-                        let branch = branch.substitute(&subs, &|o| o);
-                        let body = mte.body.remap_operands(&|o| mte.inputs[o].0);
+                        let branch = branches[i].substitute(&subs, &|o| cte.inputs[o].0);
+                        let mut body = mte.body.clone();
+                        body.remap_operands(&|o| mte.inputs[o].0);
                         let mut bounds: Vec<(i64, i64)> =
                             mshape.dims().iter().map(|&d| (0, d - 1)).collect();
                         bounds.extend(mte.reduce.iter().map(|&e| (0, e - 1)));
@@ -1331,6 +1348,40 @@ mod tests {
         assert_eq!(c.residual, 0, "{c}");
     }
 
+    /// Certifies an output defined by `depth` doublings `x' = x + x` of
+    /// an input against the same output defined directly by the tree
+    /// those doublings unfold to, of 2^(depth+1) - 1 nodes.
+    fn doubling_certificate(depth: usize) -> (Certificate, Diagnostics) {
+        let mut p = TeProgram::new();
+        let a = p.add_input("A", Shape::new(vec![4]), DType::F32);
+        let mut x = a;
+        for i in 0..depth {
+            x = builders::add(&mut p, &format!("x{i}"), x, x);
+        }
+        p.mark_output(x);
+        let mut tree = ScalarExpr::input(0, vec![IndexExpr::var(0)]);
+        for _ in 0..depth {
+            tree = ScalarExpr::binary(souffle_te::BinaryOp::Add, tree.clone(), tree);
+        }
+        let mut direct = p.tes().last().expect("non-empty chain").clone();
+        direct.inputs = vec![a];
+        direct.body = tree;
+        let q = rebuild(&p, vec![direct]);
+        certify_transform(&p, &q, "vertical", &RewriteLog::new())
+    }
+
+    #[test]
+    fn unfold_budget_decides_between_proof_and_residual() {
+        // 2^16 - 1 nodes fit the budget and prove syntactically; 2^17 - 1
+        // do not, and the obligation is left residual.
+        let (cert, diags) = doubling_certificate(15);
+        assert_certified(&cert, &diags);
+        assert_eq!(cert.matched, 1, "{cert}");
+        let (cert, diags) = doubling_certificate(16);
+        assert_eq!(cert.residual, 1, "{cert}");
+        assert!(diags.has_code(Code::CertifyResidual), "{diags}");
+    }
+
     #[test]
     fn vertical_inlining_certifies() {
         let mut p = TeProgram::new();
@@ -1549,11 +1600,5 @@ mod tests {
         ];
         let (_, diags) = certify_schedule(&p, &clobber);
         assert!(diags.has_code(Code::CertifySchedule), "{diags}");
-    }
-
-    #[test]
-    fn env_knob_parses() {
-        assert_eq!(env_certify(), None);
-        assert!(matches!(certify_default(), true | false));
     }
 }
