@@ -189,7 +189,6 @@ mod tests {
             .iter()
             .position(|t| t.name == "lstm.c0.W")
             .unwrap();
-        let consumers = p.consumers_of(souffle_te::TensorId(w0));
-        assert_eq!(consumers.len(), 3);
+        assert_eq!(p.consumer_lists()[w0].len(), 3);
     }
 }

@@ -170,6 +170,6 @@ mod tests {
         let p = build(&MmoeConfig::new(ModelConfig::Paper));
         let x = souffle_te::TensorId(0);
         // 8 expert fc1 + 2 gate logits consume the input.
-        assert_eq!(p.consumers_of(x).len(), 10);
+        assert_eq!(p.consumer_lists()[x.0].len(), 10);
     }
 }
