@@ -20,10 +20,12 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
+use souffle_affine::IndexExpr;
 use souffle_frontend::{build_model, Model, ModelConfig};
 use souffle_te::interp::{eval_program, random_bindings};
 use souffle_te::{
-    builders, compile_program, FallbackReason, Runtime, RuntimeOptions, TeProgram, TensorId,
+    builders, compile_program, BinaryOp, CmpOp, Cond, FallbackReason, ReduceOp, Runtime,
+    RuntimeOptions, ScalarExpr, TeProgram, TensorId,
 };
 use souffle_tensor::{DType, Shape, Tensor};
 use souffle_testkit::oracle::{check_stage, Stage, Tolerance};
@@ -181,6 +183,81 @@ fn mid_row_chunk_boundaries_stay_bit_identical() {
     p.mark_output(sm);
     p.validate().unwrap();
     for seed in [5, 17, 4242] {
+        assert_tier_matches_interpreter(&p, seed).unwrap();
+    }
+}
+
+/// Fused programs through every tier mode and pool size: each Tiny model
+/// after horizontal fusion alone (V1) and after the whole pipeline (V4),
+/// and the V4 program batched ×4 the way serving runs it (every variable
+/// shifted up by one, so horizontal-fusion guards sit on axis 1). These
+/// are the guarded, delinearized bodies the bytecode compiler splits into
+/// pieces and strip-mines, so they must stay bit-exact on both tiers.
+#[test]
+fn fused_models_are_bit_identical_across_tier_modes() {
+    for model in Model::ALL {
+        let program = build_model(model, ModelConfig::Tiny);
+        for (stage, opts) in [
+            ("V1", souffle::SouffleOptions::v1()),
+            ("V4", souffle::SouffleOptions::v4()),
+        ] {
+            let fused = souffle::Souffle::new(opts).compile(&program).program;
+            assert_tier_matches_interpreter(&fused, 42)
+                .unwrap_or_else(|e| panic!("{model} {stage}: {e}"));
+            if stage == "V4" {
+                let batched = souffle_transform::batch_program(&fused, 4);
+                assert_tier_matches_interpreter(&batched, 43)
+                    .unwrap_or_else(|e| panic!("{model} {stage} batched x4: {e}"));
+            }
+        }
+    }
+}
+
+/// A horizontal group of three GEMMs with odd extents, built the way
+/// horizontal fusion emits it: rows `[0, 7)`, `[7, 12)` and `[12, 21)`
+/// behind `v0 < 7` / `v0 < 12` guards, each member reading its own
+/// operands at `v0 - cut`. With 21×13 outputs of 397 products each, a
+/// 3-stream pool cuts the output into 23-element chunks, so chunk edges
+/// fall inside rows and chunks `[69, 92)` and `[138, 161)` straddle the
+/// member boundaries at rows 7 and 12.
+#[test]
+fn horizontal_gemm_group_with_odd_extents_stays_bit_identical() {
+    const K: i64 = 397;
+    const COLS: i64 = 13;
+    let mut p = TeProgram::new();
+    let rows = [7i64, 5, 9];
+    let mut inputs = Vec::new();
+    for (i, &r) in rows.iter().enumerate() {
+        inputs.push(p.add_input(&format!("A{i}"), Shape::new(vec![r, K]), DType::F32));
+        inputs.push(p.add_weight(&format!("W{i}"), Shape::new(vec![K, COLS]), DType::F32));
+    }
+    let member = |i: usize, cut: i64| {
+        let row = IndexExpr::var(0).sub(IndexExpr::constant(cut));
+        ScalarExpr::binary(
+            BinaryOp::Mul,
+            ScalarExpr::input(2 * i, vec![row, IndexExpr::var(2)]),
+            ScalarExpr::input(2 * i + 1, vec![IndexExpr::var(2), IndexExpr::var(1)]),
+        )
+    };
+    let guard = |cut: i64| Cond::cmp(CmpOp::Lt, IndexExpr::var(0), IndexExpr::constant(cut));
+    let body = ScalarExpr::select(
+        guard(7),
+        member(0, 0),
+        ScalarExpr::select(guard(12), member(1, 7), member(2, 12)),
+    );
+    let total: i64 = rows.iter().sum();
+    let out = p.add_te(
+        "hfuse(g0+g1+g2)",
+        Shape::new(vec![total, COLS]),
+        DType::F32,
+        inputs,
+        vec![K],
+        Some(ReduceOp::Sum),
+        body,
+    );
+    p.mark_output(out);
+    p.validate().unwrap();
+    for seed in [3, 29, 8080] {
         assert_tier_matches_interpreter(&p, seed).unwrap();
     }
 }
