@@ -316,6 +316,128 @@ impl IndexExpr {
         }
     }
 
+    /// Simplifies floor-div and mod using the variable bounds
+    /// `bounds[i] = (lo, hi)` (inclusive), which [`IndexExpr::simplified`]
+    /// cannot see. For `⌊x/k⌋` and `x mod k` the linear form of `x` —
+    /// with each nested floor-div/mod counted as an atom with its own
+    /// interval — splits into the multiples of `k` and a remainder `r`:
+    /// `⌊(k·q + r)/k⌋ = q + ⌊r/k⌋` and `(k·q + r) mod k = r mod k`. When
+    /// `r`'s interval lies in one block `[d·k, d·k + k)`, `⌊r/k⌋` is the
+    /// constant `d` and `r mod k` is `r − d·k`. So a delinearization whose
+    /// remainder provably stays inside its block becomes affine, e.g.
+    /// `(64·v0 + 16·v1 + v2) / 64 → v0` for `v1 < 4`, `v2 < 16`.
+    ///
+    /// The result equals `self` at every point of the box (integer
+    /// arithmetic is exact), which is all that callers evaluating over that
+    /// box may rely on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a variable index is out of range of `bounds`.
+    pub fn simplified_within(&self, bounds: &[(i64, i64)]) -> IndexExpr {
+        let rebuilt = match self {
+            IndexExpr::Var(_) | IndexExpr::Const(_) => return self.clone(),
+            IndexExpr::Add(a, b) => IndexExpr::Add(
+                Box::new(a.simplified_within(bounds)),
+                Box::new(b.simplified_within(bounds)),
+            ),
+            IndexExpr::Sub(a, b) => IndexExpr::Sub(
+                Box::new(a.simplified_within(bounds)),
+                Box::new(b.simplified_within(bounds)),
+            ),
+            IndexExpr::Mul(a, k) => IndexExpr::Mul(Box::new(a.simplified_within(bounds)), *k),
+            IndexExpr::FloorDiv(a, k) | IndexExpr::Mod(a, k) if *k > 0 => {
+                let (k, is_div) = (*k, matches!(self, IndexExpr::FloorDiv(..)));
+                let mut terms = Vec::new();
+                let mut constant = 0i64;
+                a.simplified_within(bounds)
+                    .collect_terms(1, &mut terms, &mut constant);
+                let (quot, rem): (Vec<_>, Vec<_>) =
+                    terms.into_iter().partition(|(c, _)| c % k == 0);
+                let quot: Vec<(i64, IndexExpr)> =
+                    quot.into_iter().map(|(c, e)| (c / k, e)).collect();
+                let (quot_c, rem_c) = (constant.div_euclid(k), constant.rem_euclid(k));
+                let r = IndexExpr::from_terms(&rem, rem_c);
+                let (lo, hi) = r.interval(bounds);
+                let block =
+                    (lo != i64::MIN && hi != i64::MAX && lo.div_euclid(k) == hi.div_euclid(k))
+                        .then(|| lo.div_euclid(k));
+                return match (is_div, block) {
+                    (true, Some(d)) => IndexExpr::from_terms(&quot, quot_c + d),
+                    (true, None) => {
+                        let mut quot = quot;
+                        quot.push((1, IndexExpr::FloorDiv(Box::new(r), k)));
+                        IndexExpr::from_terms(&quot, quot_c)
+                    }
+                    (false, Some(d)) => IndexExpr::from_terms(&rem, rem_c - d * k),
+                    (false, None) => IndexExpr::Mod(Box::new(r), k),
+                };
+            }
+            IndexExpr::FloorDiv(..) | IndexExpr::Mod(..) => return self.clone(),
+        };
+        rebuilt.simplified()
+    }
+
+    /// Adds `factor` times `self` into `terms` as `(coefficient, atom)`
+    /// pairs — an atom is a variable or a floor-div/mod node, equal atoms
+    /// merged — and the constant part into `constant`.
+    fn collect_terms(&self, factor: i64, terms: &mut Vec<(i64, IndexExpr)>, constant: &mut i64) {
+        match self {
+            IndexExpr::Const(c) => *constant += factor * c,
+            IndexExpr::Add(a, b) => {
+                a.collect_terms(factor, terms, constant);
+                b.collect_terms(factor, terms, constant);
+            }
+            IndexExpr::Sub(a, b) => {
+                a.collect_terms(factor, terms, constant);
+                b.collect_terms(-factor, terms, constant);
+            }
+            IndexExpr::Mul(a, k) => a.collect_terms(factor * k, terms, constant),
+            IndexExpr::Var(_) | IndexExpr::FloorDiv(..) | IndexExpr::Mod(..) => {
+                match terms.iter_mut().find(|(_, atom)| atom == self) {
+                    Some((c, _)) => *c += factor,
+                    None => terms.push((factor, self.clone())),
+                }
+            }
+        }
+    }
+
+    /// `Σ c·atom + constant`: the variables in canonical affine form, then
+    /// the floor-div/mod atoms in order.
+    fn from_terms(terms: &[(i64, IndexExpr)], constant: i64) -> IndexExpr {
+        let mut coeffs = Vec::new();
+        let mut atoms = Vec::new();
+        for (c, atom) in terms.iter().filter(|(c, _)| *c != 0) {
+            match atom {
+                IndexExpr::Var(i) => {
+                    if coeffs.len() <= *i {
+                        coeffs.resize(*i + 1, 0);
+                    }
+                    coeffs[*i] += c;
+                }
+                _ => atoms.push((*c, atom)),
+            }
+        }
+        if atoms.is_empty() {
+            return IndexExpr::from_linear(&coeffs, constant);
+        }
+        let mut expr = IndexExpr::from_linear(&coeffs, 0);
+        for (c, atom) in atoms {
+            let term = match c {
+                1 => atom.clone(),
+                c => IndexExpr::Mul(Box::new(atom.clone()), c),
+            };
+            expr = match expr {
+                IndexExpr::Const(0) => term,
+                e => IndexExpr::Add(Box::new(e), Box::new(term)),
+            };
+        }
+        match constant {
+            0 => expr,
+            c => IndexExpr::Add(Box::new(expr), Box::new(IndexExpr::Const(c))),
+        }
+    }
+
     /// Conservative interval of the expression when each variable `v_i`
     /// ranges over `bounds[i] = (lo, hi)` inclusive. Used for static bounds
     /// checking and for tile-footprint estimation in the scheduler.
@@ -586,6 +708,62 @@ mod tests {
         |(e, v0, v1, v2)| {
             let vars = [*v0, *v1, *v2];
             tk_assert_eq!(e.simplified().eval(&vars), e.eval(&vars), "expr {e}");
+            Ok(())
+        }
+    );
+
+    #[test]
+    fn bounded_delinearization_becomes_affine() {
+        // reshape [64, 64] -> [64, 4, 16]: row (64·v0 + 16·v1 + v2) / 64 and
+        // column (..) mod 64, with v1 < 4 and v2 < 16.
+        let flat = IndexExpr::var(0)
+            .mul(64)
+            .add(IndexExpr::var(1).mul(16))
+            .add(IndexExpr::var(2));
+        let bounds = [(0, 63), (0, 3), (0, 15)];
+        let row = flat.clone().floor_div(64).simplified_within(&bounds);
+        let col = flat.modulo(64).simplified_within(&bounds);
+        assert_eq!(row, IndexExpr::var(0));
+        assert_eq!(col, IndexExpr::var(1).mul(16).add(IndexExpr::var(2)));
+    }
+
+    #[test]
+    fn nested_div_mod_reduce_through_atoms() {
+        // The post-fusion attention projection reads
+        // [((64·v0 + v2) / 16) mod 4, (64·v0 + v2) / 64, (64·v0 + v2) mod 16]
+        // with v2 < 64: the first index only keeps its v2 / 16 atom.
+        let flat = IndexExpr::var(0).mul(64).add(IndexExpr::var(2));
+        let bounds = [(0, 63), (0, 63), (0, 63)];
+        let head = flat.clone().floor_div(16).modulo(4);
+        let row = flat.clone().floor_div(64);
+        let lane = flat.modulo(16);
+        let v2 = IndexExpr::var(2);
+        assert_eq!(head.simplified_within(&bounds), v2.clone().floor_div(16));
+        assert_eq!(row.simplified_within(&bounds), IndexExpr::var(0));
+        assert_eq!(lane.simplified_within(&bounds), v2.modulo(16));
+    }
+
+    forall!(
+        simplified_within_agrees_with_eval_on_its_box,
+        Config::with_cases(256),
+        |rng| (
+            gen_expr(rng, 4),
+            rng.vec(3..4, |r| (r.i64_in(-6..6), r.i64_in(0..5))),
+        ),
+        |(e, box_spec)| {
+            if box_spec.len() != 3 {
+                return Ok(()); // shrunk-out-of-domain candidate
+            }
+            let bounds: Vec<(i64, i64)> = box_spec.iter().map(|&(lo, w)| (lo, lo + w)).collect();
+            let s = e.simplified_within(&bounds);
+            for v0 in bounds[0].0..=bounds[0].1 {
+                for v1 in bounds[1].0..=bounds[1].1 {
+                    for v2 in bounds[2].0..=bounds[2].1 {
+                        let vars = [v0, v1, v2];
+                        tk_assert_eq!(s.eval(&vars), e.eval(&vars), "expr {e} -> {s} at {vars:?}");
+                    }
+                }
+            }
             Ok(())
         }
     );

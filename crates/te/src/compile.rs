@@ -17,17 +17,50 @@
 //!   bounds checks.
 //!
 //! An access qualifies for the affine fast path only when every index
-//! expression is purely affine *and* interval analysis over the iteration
-//! box proves it in-bounds on every axis; everything else (div/mod
-//! linearizations, guarded padding reads) takes the generic path, which
-//! preserves the taken-branch-only out-of-bounds semantics bit for bit.
+//! expression is affine over the iteration box — after
+//! [`IndexExpr::simplified_within`] resolves the floor-divs and mods whose
+//! remainder provably stays inside one block — *and* interval analysis
+//! over the box proves it in-bounds on every axis; everything else takes
+//! the generic path, which preserves the taken-branch-only out-of-bounds
+//! semantics bit for bit.
+//!
+//! # Pieces
+//!
+//! The TEs that horizontal and vertical fusion emit are affine only on
+//! parts of their iteration space, so each TE is compiled over one or more
+//! *pieces* — sub-boxes on which its accesses are affine and provably in
+//! bounds. Three rules, each decided from the program alone:
+//!
+//! 1. **Index-set splitting at guard cuts.** `Select` guards whose only
+//!    variable is one output axis (horizontal fusion's `v0 < cut`, or
+//!    `v1 < cut` once batching has shifted every variable up) cut that
+//!    axis into maximal runs on which every guard has the same truth
+//!    value. When the cuts are monotone — at most one more piece than
+//!    guards — each run becomes a piece: the body with `v_a → v_a + lo`,
+//!    compiled over extent `hi − lo`. Within any piece, a `Select` whose
+//!    condition interval analysis decides over the box compiles to its
+//!    taken branch alone, so the untaken branch is still never evaluated.
+//! 2. **Range-aware floor-div/mod** ([`IndexExpr::simplified_within`]),
+//!    applied to every index that is not already affine.
+//! 3. **Reduction strip-mining.** A single-axis reduction without folds
+//!    whose remaining non-affine accesses read the reduction variable only
+//!    as `v / k` and `v mod k`, for one `k` dividing its extent `E`,
+//!    compiles with reduce `[E/k, k]` and `v → k·vh + vl`.
+//!
+//! Every rule is exact: integer index arithmetic is exact, the untaken
+//! branch of a decided `Select` is never evaluated by the interpreter
+//! either, and ascending `(vh, vl)` is ascending `v`, so the reduction
+//! combine order — and every result bit — is unchanged. The VM walks a
+//! split TE's flat output range in order as runs, each inside one piece,
+//! so the first failing element, and with it the error, is the
+//! interpreter's.
 //!
 //! Evaluation of the compiled form lives in [`crate::vm`].
 
-use crate::expr::{BinaryOp, Cond, ScalarExpr, UnaryOp};
+use crate::expr::{BinaryOp, CmpOp, Cond, ScalarExpr, UnaryOp};
 use crate::kernels::{self, KernelSel, KernelStats};
 use crate::program::{TeProgram, TensorId, TensorInfo};
-use crate::te::ReduceOp;
+use crate::te::{ReduceOp, TensorExpr};
 use souffle_affine::IndexExpr;
 use souffle_tensor::Shape;
 
@@ -140,13 +173,31 @@ pub(crate) struct GenericAccess {
     pub dims: Vec<i64>,
 }
 
-/// One TE lowered to bytecode plus its access/condition/index tables.
+/// One TE lowered to bytecode: its body compiled over one or more pieces
+/// that tile its output box along one axis (see the module docs).
 #[derive(Debug, Clone)]
 pub struct CompiledTe {
     pub(crate) name: String,
     pub(crate) output: TensorId,
     pub(crate) out_shape: Shape,
     pub(crate) inputs: Vec<TensorId>,
+    /// Output axis the pieces tile (irrelevant for a single piece).
+    pub(crate) split_axis: usize,
+    /// Consecutive ranges of `split_axis`, ascending; a TE that is not
+    /// split has one piece covering its whole box.
+    pub(crate) pieces: Vec<Piece>,
+}
+
+/// A TE body lowered to bytecode over one box of the TE's iteration
+/// space, plus its access/condition/index tables.
+#[derive(Debug, Clone)]
+pub(crate) struct Piece {
+    /// First index of the piece along the TE's split axis.
+    pub(crate) lo: i64,
+    /// The piece's output box: the TE's, with the split axis narrowed to
+    /// the piece.
+    pub(crate) out_shape: Shape,
+    /// Reduction extents (`[E/k, k]` for a strip-mined `[E]`).
     pub(crate) reduce: Vec<i64>,
     pub(crate) reduce_op: Option<ReduceOp>,
     pub(crate) code: Vec<Instr>,
@@ -165,40 +216,64 @@ pub struct CompiledTe {
     /// Recognized body shape for the VM's specialized fast paths.
     pub(crate) kind: BodyKind,
     /// Kernel-tier selection ([`crate::kernels`]): the monomorphized
-    /// native inner loop this TE dispatches to, or the bytecode fallback
-    /// with its reason. Static per TE, decided here at compile time.
+    /// native inner loop this piece dispatches to, or the bytecode
+    /// fallback with its reason. Static, decided here at compile time.
     pub(crate) tier: KernelSel,
 }
 
 impl CompiledTe {
-    /// Number of accesses on the strength-reduced affine fast path.
+    /// The TE's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Number of accesses on the strength-reduced affine fast path,
+    /// summed over pieces.
     pub fn num_affine_accesses(&self) -> usize {
-        self.affine.len()
+        self.pieces.iter().map(|p| p.affine.len()).sum()
     }
 
-    /// Number of accesses on the generic (checked) fallback path.
+    /// Number of accesses on the generic (checked) fallback path, summed
+    /// over pieces.
     pub fn num_generic_accesses(&self) -> usize {
-        self.generic.len()
+        self.pieces.iter().map(|p| p.generic.len()).sum()
     }
 
-    /// Bytecode length (a proxy for body size after fusion).
+    /// Bytecode length summed over pieces (a proxy for body size after
+    /// fusion).
     pub fn code_len(&self) -> usize {
-        self.code.len()
+        self.pieces.iter().map(|p| p.code.len()).sum()
     }
 
-    /// Name of the specialized kernel this TE dispatches to (`"bytecode"`
-    /// when it stays on the VM's instruction loop).
+    /// Name of the specialized kernel this TE dispatches to: `"bytecode"`
+    /// when any piece stays on the VM's instruction loop, else the first
+    /// piece's kernel.
     pub fn kernel(&self) -> &'static str {
-        self.tier.name()
+        let fallback = self
+            .pieces
+            .iter()
+            .find(|p| matches!(p.tier, KernelSel::Fallback(_)));
+        fallback.unwrap_or(&self.pieces[0]).tier.name()
     }
 
-    /// Why this TE stays on the bytecode path (`None` when a specialized
-    /// kernel was selected).
+    /// The kernel of each piece, in piece order.
+    pub fn piece_kernels(&self) -> Vec<&'static str> {
+        self.pieces.iter().map(|p| p.tier.name()).collect()
+    }
+
+    /// Why the first piece that stays on the bytecode path does (`None`
+    /// when every piece selected a specialized kernel).
     pub fn kernel_fallback_reason(&self) -> Option<&'static str> {
-        match self.tier {
+        self.pieces.iter().find_map(|p| match p.tier {
             KernelSel::Fallback(r) => Some(r.name()),
             _ => None,
-        }
+        })
+    }
+
+    /// Reduction points per output element (the same for every piece:
+    /// strip-mining keeps the product of the extents).
+    pub(crate) fn reduce_points(&self) -> i64 {
+        self.pieces[0].reduce.iter().product::<i64>().max(1)
     }
 }
 
@@ -230,13 +305,14 @@ impl CompiledProgram {
         &self.tensors[id.0]
     }
 
-    /// Static kernel-tier census: how many TEs selected each specialized
-    /// kernel (and each fallback reason). Counts are per TE definition —
-    /// multiply by evaluations to get the runtime's dispatch counters.
+    /// Static kernel-tier census: how many pieces selected each
+    /// specialized kernel (and each fallback reason). Counts are per piece
+    /// of each TE definition — multiply by evaluations to get the
+    /// runtime's dispatch counters.
     pub fn kernel_census(&self) -> KernelStats {
         let mut stats = KernelStats::default();
-        for te in &self.tes {
-            stats.record(te.tier);
+        for piece in self.tes.iter().flat_map(|te| &te.pieces) {
+            stats.record(piece.tier);
         }
         stats
     }
@@ -259,7 +335,7 @@ pub enum Evaluator {
 }
 
 /// Lowers every TE of `program` to bytecode with strength-reduced affine
-/// accesses.
+/// accesses, split into pieces where its guards cut it (module docs).
 ///
 /// # Panics
 ///
@@ -271,22 +347,12 @@ pub fn compile_program(program: &TeProgram) -> CompiledProgram {
         .te_ids()
         .map(|id| {
             let te = program.te(id);
-            let out_shape = program.output_shape(id).clone();
             let operand_shapes: Vec<Shape> = te
                 .inputs
                 .iter()
                 .map(|tid| program.tensor(*tid).shape.clone())
                 .collect();
-            compile_te(
-                &te.name,
-                te.output,
-                out_shape,
-                te.inputs.clone(),
-                te.reduce.clone(),
-                te.reduce_op,
-                &te.body,
-                &operand_shapes,
-            )
+            compile_te(te, program.output_shape(id), &operand_shapes)
         })
         .collect();
     CompiledProgram {
@@ -296,34 +362,221 @@ pub fn compile_program(program: &TeProgram) -> CompiledProgram {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn compile_te(
-    name: &str,
-    output: TensorId,
-    out_shape: Shape,
-    inputs: Vec<TensorId>,
-    reduce: Vec<i64>,
-    reduce_op: Option<ReduceOp>,
-    body: &ScalarExpr,
-    operand_shapes: &[Shape],
-) -> CompiledTe {
-    let n_free = out_shape.rank() + reduce.len();
-    // Fold binders (reduction fusion) live above the free variables; give
-    // them var/coeff slots and interval bounds so strength reduction covers
-    // accesses inside fold bodies too.
-    let n_vars = n_free.max(body.max_var().map_or(0, |m| m + 1));
-    let mut var_bounds: Vec<i64> = out_shape.dims().to_vec();
-    var_bounds.extend_from_slice(&reduce);
-    var_bounds.resize(n_vars, 1);
-    for (var, extent) in body.collect_folds() {
-        if var >= n_free {
-            var_bounds[var] = var_bounds[var].max(extent.max(1));
+fn compile_te(te: &TensorExpr, out_shape: &Shape, operand_shapes: &[Shape]) -> CompiledTe {
+    let piece = |lo: i64, body: &ScalarExpr, out_shape: Shape| {
+        compile_piece(
+            lo,
+            body,
+            out_shape,
+            &te.reduce,
+            te.reduce_op,
+            operand_shapes,
+        )
+    };
+    let (split_axis, pieces) = match guard_cuts(&te.body, out_shape) {
+        Some((axis, ranges)) => {
+            let n_subs = te.body.max_var().map_or(0, |m| m + 1);
+            let mut bounds = box_bounds(out_shape, &te.reduce, &te.body);
+            let pieces = ranges
+                .into_iter()
+                .map(|(lo, hi)| {
+                    // Only the branch the piece takes is shifted and compiled.
+                    bounds[axis] = (lo, hi - 1);
+                    let mut body = &te.body;
+                    while let ScalarExpr::Select {
+                        cond,
+                        on_true,
+                        on_false,
+                    } = body
+                    {
+                        body = match decide(cond, &bounds) {
+                            Some(true) => on_true,
+                            Some(false) => on_false,
+                            None => break,
+                        };
+                    }
+                    let mut subs: Vec<IndexExpr> = (0..n_subs).map(IndexExpr::Var).collect();
+                    subs[axis] = IndexExpr::var(axis).add(IndexExpr::constant(lo));
+                    let mut dims = out_shape.dims().to_vec();
+                    dims[axis] = hi - lo;
+                    piece(lo, &body.substitute(&subs, &|o| o), Shape::new(dims))
+                })
+                .collect();
+            (axis, pieces)
+        }
+        None => (0, vec![piece(0, &te.body, out_shape.clone())]),
+    };
+    CompiledTe {
+        name: te.name.clone(),
+        output: te.output,
+        out_shape: out_shape.clone(),
+        inputs: te.inputs.clone(),
+        split_axis,
+        pieces,
+    }
+}
+
+/// Rule 1: where `body`'s single-axis guards cut its output box. Takes the
+/// guards whose only variable is the outermost guarded output axis `a`
+/// and cuts `a` into maximal runs on which every one of them has the same
+/// truth value. Returns `(a, [lo, hi) per run)` when there are at least
+/// two runs and at most one more than guards — the monotone cuts of
+/// horizontal fusion — and `None` otherwise (an alternating guard, say).
+fn guard_cuts(body: &ScalarExpr, out_shape: &Shape) -> Option<(usize, Vec<(i64, i64)>)> {
+    let mut guards = Vec::new();
+    collect_guards(body, out_shape.rank(), &mut guards);
+    let axis = guards.iter().map(|(a, _)| *a).min()?;
+    let mut conds: Vec<&Cond> = Vec::new();
+    for (a, c) in guards {
+        if a == axis && !conds.contains(&c) {
+            conds.push(c);
         }
     }
+    let mut vars = vec![0i64; axis + 1];
+    let mut truth = vec![false; conds.len()];
+    let mut runs: Vec<(i64, i64)> = Vec::new();
+    for x in 0..out_shape.dim(axis) {
+        vars[axis] = x;
+        let mut changed = runs.is_empty();
+        for (c, t) in conds.iter().zip(&mut truth) {
+            let now = c.eval(&vars);
+            changed |= now != *t;
+            *t = now;
+        }
+        if changed {
+            if runs.len() > conds.len() {
+                return None;
+            }
+            runs.push((x, x + 1));
+        } else if let Some(run) = runs.last_mut() {
+            run.1 = x + 1;
+        }
+    }
+    (runs.len() >= 2).then_some((axis, runs))
+}
+
+/// Every `Select` condition in `e` whose only variable is an output axis
+/// (`< rank`), with that axis.
+fn collect_guards<'a>(e: &'a ScalarExpr, rank: usize, out: &mut Vec<(usize, &'a Cond)>) {
+    match e {
+        ScalarExpr::Const(_) | ScalarExpr::Input { .. } | ScalarExpr::IndexValue(_) => {}
+        ScalarExpr::Unary(_, a) | ScalarExpr::Reduce { body: a, .. } => {
+            collect_guards(a, rank, out)
+        }
+        ScalarExpr::Binary(_, a, b) => {
+            collect_guards(a, rank, out);
+            collect_guards(b, rank, out);
+        }
+        ScalarExpr::Select {
+            cond,
+            on_true,
+            on_false,
+        } => {
+            let mut var = None;
+            let mut single = true;
+            cond.for_each_var(&mut |v| {
+                single &= *var.get_or_insert(v) == v;
+            });
+            if let Some(a) = var.filter(|&a| single && a < rank) {
+                out.push((a, cond));
+            }
+            collect_guards(on_true, rank, out);
+            collect_guards(on_false, rank, out);
+        }
+    }
+}
+
+/// Compiles `body` over the box `out_shape × reduce`, strip-mining the
+/// reduction first when rule 3 applies.
+fn compile_piece(
+    lo: i64,
+    body: &ScalarExpr,
+    out_shape: Shape,
+    reduce: &[i64],
+    reduce_op: Option<ReduceOp>,
+    operand_shapes: &[Shape],
+) -> Piece {
+    let rank = out_shape.rank();
+    if let [extent] = *reduce {
+        let bounds = box_bounds(&out_shape, reduce, body);
+        if let Some(k) = strip_factor(body, &bounds, rank, extent) {
+            let mut subs: Vec<IndexExpr> = (0..rank).map(IndexExpr::Var).collect();
+            subs.push(IndexExpr::var(rank).mul(k).add(IndexExpr::var(rank + 1)));
+            let body = body.substitute(&subs, &|o| o);
+            return lower_piece(
+                lo,
+                &body,
+                out_shape,
+                vec![extent / k, k],
+                reduce_op,
+                operand_shapes,
+            );
+        }
+    }
+    lower_piece(
+        lo,
+        body,
+        out_shape,
+        reduce.to_vec(),
+        reduce_op,
+        operand_shapes,
+    )
+}
+
+/// Rule 3: the factor `k` to strip-mine the lone reduction variable `r`
+/// of a fold-free body by — when every access index that stays
+/// non-affine under [`IndexExpr::simplified_within`] reads `r` only as
+/// `r / k` and `r mod k`, for one `k` that divides `extent`.
+fn strip_factor(body: &ScalarExpr, bounds: &[(i64, i64)], r: usize, extent: i64) -> Option<i64> {
+    if body.has_fold() {
+        return None;
+    }
+    let mut k = None;
+    for (_, indices) in body.accesses() {
+        for idx in indices.iter().filter(|i| !i.is_affine()) {
+            let idx = idx.simplified_within(bounds);
+            if !idx.is_affine() && !reads_only_split(&idx, r, &mut k) {
+                return None;
+            }
+        }
+    }
+    k.filter(|&k| extent % k == 0)
+}
+
+/// Whether `e` reads `Var(r)` only as `r / k` or `r mod k` with one `k`
+/// throughout (recorded in `k`).
+fn reads_only_split(e: &IndexExpr, r: usize, k: &mut Option<i64>) -> bool {
+    match e {
+        IndexExpr::FloorDiv(a, d) | IndexExpr::Mod(a, d) if **a == IndexExpr::Var(r) => {
+            *k.get_or_insert(*d) == *d
+        }
+        IndexExpr::Var(v) => *v != r,
+        IndexExpr::Const(_) => true,
+        IndexExpr::Add(a, b) | IndexExpr::Sub(a, b) => {
+            reads_only_split(a, r, k) && reads_only_split(b, r, k)
+        }
+        IndexExpr::Mul(a, _) | IndexExpr::FloorDiv(a, _) | IndexExpr::Mod(a, _) => {
+            reads_only_split(a, r, k)
+        }
+    }
+}
+
+/// Lowers `body` over the box `out_shape × reduce` to bytecode and selects
+/// its kernel.
+fn lower_piece(
+    lo: i64,
+    body: &ScalarExpr,
+    out_shape: Shape,
+    reduce: Vec<i64>,
+    reduce_op: Option<ReduceOp>,
+    operand_shapes: &[Shape],
+) -> Piece {
+    let box_bounds = box_bounds(&out_shape, &reduce, body);
+    let n_vars = box_bounds.len();
     let mut c = BodyCompiler {
         operand_shapes,
         n_vars,
-        var_bounds,
+        box_bounds,
         code: Vec::new(),
         next_reg: 0,
         affine: Vec::new(),
@@ -337,11 +590,9 @@ fn compile_te(
     let result = c.fresh();
     c.compile_into(body, result);
     let kind = classify_body(&c.code, result);
-    let mut te = CompiledTe {
-        name: name.to_string(),
-        output,
+    let mut piece = Piece {
+        lo,
         out_shape,
-        inputs,
         reduce,
         reduce_op,
         code: c.code,
@@ -356,8 +607,63 @@ fn compile_te(
         kind,
         tier: KernelSel::Fallback(kernels::FallbackReason::ReducedBody),
     };
-    te.tier = kernels::select(&te);
-    te
+    piece.tier = kernels::select(&piece);
+    piece
+}
+
+/// Inclusive `(lo, hi)` per variable of `body` over the box
+/// `out_shape × reduce`. Fold binders (reduction fusion) live above the
+/// free variables; they get slots and bounds too, so strength reduction
+/// covers accesses inside fold bodies.
+fn box_bounds(out_shape: &Shape, reduce: &[i64], body: &ScalarExpr) -> Vec<(i64, i64)> {
+    let n_free = out_shape.rank() + reduce.len();
+    let n_vars = n_free.max(body.max_var().map_or(0, |m| m + 1));
+    let mut extents: Vec<i64> = out_shape.dims().iter().chain(reduce).copied().collect();
+    extents.resize(n_vars, 1);
+    for (var, extent) in body.collect_folds() {
+        if var >= n_free {
+            extents[var] = extents[var].max(extent.max(1));
+        }
+    }
+    extents.iter().map(|&e| (0, e - 1)).collect()
+}
+
+/// Decides `cond` over the box `bounds` by interval analysis: `Some` when
+/// it has the same truth value at every point, `None` when that is not
+/// provable.
+fn decide(cond: &Cond, bounds: &[(i64, i64)]) -> Option<bool> {
+    match cond {
+        Cond::Cmp(op, a, b) => {
+            let (lo, hi) = a.clone().sub(b.clone()).interval(bounds);
+            if lo == i64::MIN || hi == i64::MAX {
+                return None;
+            }
+            let (always, never) = match op {
+                CmpOp::Lt => (hi < 0, lo >= 0),
+                CmpOp::Le => (hi <= 0, lo > 0),
+                CmpOp::Gt => (lo > 0, hi <= 0),
+                CmpOp::Ge => (lo >= 0, hi < 0),
+                CmpOp::Eq => (lo == 0 && hi == 0, lo > 0 || hi < 0),
+                CmpOp::Ne => (lo > 0 || hi < 0, lo == 0 && hi == 0),
+            };
+            match (always, never) {
+                (true, _) => Some(true),
+                (_, true) => Some(false),
+                _ => None,
+            }
+        }
+        Cond::And(a, b) => match (decide(a, bounds), decide(b, bounds)) {
+            (Some(false), _) | (_, Some(false)) => Some(false),
+            (Some(true), Some(true)) => Some(true),
+            _ => None,
+        },
+        Cond::Or(a, b) => match (decide(a, bounds), decide(b, bounds)) {
+            (Some(true), _) | (_, Some(true)) => Some(true),
+            (Some(false), Some(false)) => Some(false),
+            _ => None,
+        },
+        Cond::Not(a) => decide(a, bounds).map(|t| !t),
+    }
 }
 
 /// Pattern-matches the emitted bytecode against the shapes the VM
@@ -384,7 +690,8 @@ fn classify_body(code: &[Instr], result: u32) -> BodyKind {
 struct BodyCompiler<'a> {
     operand_shapes: &'a [Shape],
     n_vars: usize,
-    var_bounds: Vec<i64>,
+    /// Inclusive `(lo, hi)` per variable: the box being compiled.
+    box_bounds: Vec<(i64, i64)>,
     code: Vec<Instr>,
     next_reg: u32,
     affine: Vec<AffineAccess>,
@@ -436,27 +743,32 @@ impl BodyCompiler<'_> {
                 cond,
                 on_true,
                 on_false,
-            } => {
-                let cid = self.conds.len() as u32;
-                self.conds.push(cond.clone());
-                let jump_to_else = self.code.len();
-                self.code.push(Instr::JumpIfNot {
-                    cond: cid,
-                    target: 0, // patched below
-                });
-                self.compile_into(on_true, dst);
-                let jump_to_end = self.code.len();
-                self.code.push(Instr::Jump { target: 0 }); // patched below
-                let else_start = self.code.len() as u32;
-                if let Instr::JumpIfNot { target, .. } = &mut self.code[jump_to_else] {
-                    *target = else_start;
+            } => match decide(cond, &self.box_bounds) {
+                // Decided over the whole box: only the taken branch exists.
+                Some(true) => self.compile_into(on_true, dst),
+                Some(false) => self.compile_into(on_false, dst),
+                None => {
+                    let cid = self.conds.len() as u32;
+                    self.conds.push(cond.clone());
+                    let jump_to_else = self.code.len();
+                    self.code.push(Instr::JumpIfNot {
+                        cond: cid,
+                        target: 0, // patched below
+                    });
+                    self.compile_into(on_true, dst);
+                    let jump_to_end = self.code.len();
+                    self.code.push(Instr::Jump { target: 0 }); // patched below
+                    let else_start = self.code.len() as u32;
+                    if let Instr::JumpIfNot { target, .. } = &mut self.code[jump_to_else] {
+                        *target = else_start;
+                    }
+                    self.compile_into(on_false, dst);
+                    let end = self.code.len() as u32;
+                    if let Instr::Jump { target } = &mut self.code[jump_to_end] {
+                        *target = end;
+                    }
                 }
-                self.compile_into(on_false, dst);
-                let end = self.code.len() as u32;
-                if let Instr::Jump { target } = &mut self.code[jump_to_end] {
-                    *target = end;
-                }
-            }
+            },
             ScalarExpr::Reduce {
                 op,
                 var,
@@ -493,9 +805,10 @@ impl BodyCompiler<'_> {
         }
     }
 
-    /// Strength-reduces the access if every index expression is purely
-    /// affine and interval analysis over the iteration box proves it
-    /// in-bounds on every axis; returns the interned access id.
+    /// Strength-reduces the access if every index expression is affine
+    /// over the iteration box (rule 2 resolves the floor-divs and mods it
+    /// can) and interval analysis over the box proves it in-bounds on
+    /// every axis; returns the interned access id.
     fn try_affine(&mut self, operand: usize, indices: &[IndexExpr]) -> Option<u32> {
         let shape = self
             .operand_shapes
@@ -504,11 +817,17 @@ impl BodyCompiler<'_> {
         if indices.len() != shape.rank() {
             return None; // rank mismatch: fail at runtime like the interpreter
         }
-        let box_bounds: Vec<(i64, i64)> = self.var_bounds.iter().map(|&b| (0, b - 1)).collect();
         let mut linear: Vec<(Vec<i64>, i64)> = Vec::with_capacity(indices.len());
         for (axis, idx) in indices.iter().enumerate() {
+            let simplified;
+            let idx = if idx.is_affine() {
+                idx
+            } else {
+                simplified = idx.simplified_within(&self.box_bounds);
+                &simplified
+            };
             let lin = idx.as_linear(self.n_vars)?;
-            let (lo, hi) = idx.interval(&box_bounds);
+            let (lo, hi) = idx.interval(&self.box_bounds);
             if lo < 0 || hi >= shape.dim(axis) {
                 return None; // possibly out of bounds: keep the checked path
             }
@@ -568,7 +887,8 @@ impl BodyCompiler<'_> {
 mod tests {
     use super::*;
     use crate::builders;
-    use crate::expr::{CmpOp, Cond};
+    use crate::interp::{eval_program, random_bindings};
+    use crate::runtime::{Runtime, RuntimeOptions};
     use souffle_tensor::DType;
 
     #[test]
@@ -582,6 +902,7 @@ mod tests {
         let te = &cp.tes()[0];
         assert_eq!(te.num_affine_accesses(), 2);
         assert_eq!(te.num_generic_accesses(), 0);
+        let te = &te.pieces[0];
         // A[i, k]: strides (8, 1), so flat = 8*v0 + v2.
         assert_eq!(te.affine[0].base, 0);
         assert_eq!(te.affine[0].coeffs, vec![8, 0, 1]);
@@ -603,7 +924,75 @@ mod tests {
 
     #[test]
     fn guarded_oob_access_falls_back_to_generic() {
-        // padded read: in bounds only on the taken branch.
+        // padded read: in bounds only on the taken branch. The guard reads
+        // two variables, so it cuts no axis and stays a runtime branch.
+        let mut p = TeProgram::new();
+        let a = p.add_input("A", Shape::new(vec![4]), DType::F32);
+        let sum = IndexExpr::var(0).add(IndexExpr::var(1));
+        let t = p.add_te(
+            "padded",
+            Shape::new(vec![4, 2]),
+            DType::F32,
+            vec![a],
+            vec![],
+            None,
+            ScalarExpr::select(
+                Cond::cmp(CmpOp::Lt, sum.clone(), IndexExpr::constant(4)),
+                ScalarExpr::input(0, vec![sum]),
+                ScalarExpr::Const(0.0),
+            ),
+        );
+        p.mark_output(t);
+        let cp = compile_program(&p);
+        let te = &cp.tes()[0];
+        assert_eq!(te.pieces.len(), 1);
+        assert_eq!(te.num_affine_accesses(), 0);
+        assert_eq!(te.num_generic_accesses(), 1);
+        // Select lowers to a conditional jump over the untaken branch.
+        let code = &te.pieces[0].code;
+        assert!(code.iter().any(|i| matches!(i, Instr::JumpIfNot { .. })));
+        assert!(code.iter().any(|i| matches!(i, Instr::Jump { .. })));
+    }
+
+    /// Evaluates `p` with the interpreter and with the compiled program on
+    /// 1- and 3-stream runtimes, tier on and off: results bit-identical, or
+    /// the identical error.
+    fn assert_matches_interpreter(p: &TeProgram, seed: u64) {
+        let bindings = random_bindings(p, seed);
+        let want = eval_program(p, &bindings);
+        let cp = compile_program(p);
+        for threads in [1, 3] {
+            for kernel_tier in [true, false] {
+                let rt = Runtime::with_options(RuntimeOptions {
+                    threads: Some(threads),
+                    max_parallelism: Some(threads),
+                    kernel_tier: Some(kernel_tier),
+                    ..RuntimeOptions::default()
+                });
+                let got = rt.eval_keeping_intermediates(&cp, &bindings);
+                match (&want, got) {
+                    (Ok(want), Ok(got)) => {
+                        for (id, w) in want {
+                            for (a, b) in w.data().iter().zip(got[id].data()) {
+                                assert_eq!(a.to_bits(), b.to_bits(), "{id} diverged");
+                            }
+                        }
+                    }
+                    (Err(we), Err(ge)) => assert_eq!(*we, ge),
+                    (want, got) => panic!("interpreter {want:?} vs compiled {got:?}"),
+                }
+            }
+        }
+    }
+
+    fn lt(var: usize, cut: i64) -> Cond {
+        Cond::cmp(CmpOp::Lt, IndexExpr::var(var), IndexExpr::constant(cut))
+    }
+
+    #[test]
+    fn single_axis_guard_splits_into_pieces() {
+        // The same padded read with a guard on v0 alone: rows [0, 4) read
+        // A, rows [4, 8) are the constant, and neither piece branches.
         let mut p = TeProgram::new();
         let a = p.add_input("A", Shape::new(vec![4]), DType::F32);
         let t = p.add_te(
@@ -614,7 +1003,7 @@ mod tests {
             vec![],
             None,
             ScalarExpr::select(
-                Cond::cmp(CmpOp::Lt, IndexExpr::var(0), IndexExpr::constant(4)),
+                lt(0, 4),
                 ScalarExpr::input(0, vec![IndexExpr::var(0)]),
                 ScalarExpr::Const(0.0),
             ),
@@ -622,11 +1011,197 @@ mod tests {
         p.mark_output(t);
         let cp = compile_program(&p);
         let te = &cp.tes()[0];
-        assert_eq!(te.num_affine_accesses(), 0);
-        assert_eq!(te.num_generic_accesses(), 1);
-        // Select lowers to a conditional jump over the untaken branch.
-        assert!(te.code.iter().any(|i| matches!(i, Instr::JumpIfNot { .. })));
-        assert!(te.code.iter().any(|i| matches!(i, Instr::Jump { .. })));
+        assert_eq!(te.split_axis, 0);
+        let bounds: Vec<(i64, i64)> = te
+            .pieces
+            .iter()
+            .map(|p| (p.lo, p.out_shape.dim(0)))
+            .collect();
+        assert_eq!(bounds, vec![(0, 4), (4, 4)]);
+        assert_eq!(
+            (te.num_affine_accesses(), te.num_generic_accesses()),
+            (1, 0)
+        );
+        assert!(matches!(te.pieces[0].kind, BodyKind::AffineLoad { .. }));
+        assert!(matches!(
+            te.pieces[1].code.as_slice(),
+            [Instr::Const { .. }]
+        ));
+        assert_matches_interpreter(&p, 3);
+    }
+
+    #[test]
+    fn guards_on_axis_one_split_axis_one() {
+        // Batching shifts horizontal fusion's `v0 < cut` to `v1 < cut`:
+        // the pieces tile axis 1, so runs alternate between them once per
+        // batch index, and a 3-stream pool cuts chunks inside the runs.
+        let mut p = TeProgram::new();
+        let a = p.add_input("A", Shape::new(vec![3, 17, 70]), DType::F32);
+        let b = p.add_input("B", Shape::new(vec![3, 23, 70]), DType::F32);
+        let (v0, v1, v2) = (IndexExpr::var(0), IndexExpr::var(1), IndexExpr::var(2));
+        let t = p.add_te(
+            "hfuse(a+b)",
+            Shape::new(vec![3, 40, 70]),
+            DType::F32,
+            vec![a, b],
+            vec![],
+            None,
+            ScalarExpr::select(
+                lt(1, 17),
+                ScalarExpr::input(0, vec![v0.clone(), v1.clone(), v2.clone()]),
+                ScalarExpr::unary(
+                    UnaryOp::Exp,
+                    ScalarExpr::input(1, vec![v0, v1.sub(IndexExpr::constant(17)), v2]),
+                ),
+            ),
+        );
+        p.mark_output(t);
+        let cp = compile_program(&p);
+        let te = &cp.tes()[0];
+        assert_eq!(te.split_axis, 1);
+        assert_eq!(te.pieces.len(), 2);
+        assert_eq!(te.piece_kernels(), vec!["copy_rows", "ew_tile"]);
+        assert_eq!(te.kernel(), "copy_rows");
+        assert_eq!(te.num_generic_accesses(), 0);
+        assert_matches_interpreter(&p, 9);
+    }
+
+    #[test]
+    fn guards_on_reduction_variables_stay_branches_inside_pieces() {
+        // The outer guard cuts v0; the inner one reads the reduction
+        // variable v1 in [0, 4), so no piece may decide it.
+        let mut p = TeProgram::new();
+        let a = p.add_input("A", Shape::new(vec![8]), DType::F32);
+        let b = p.add_input("B", Shape::new(vec![4]), DType::F32);
+        let t = p.add_te(
+            "guarded_sum",
+            Shape::new(vec![8]),
+            DType::F32,
+            vec![a, b],
+            vec![4],
+            Some(ReduceOp::Sum),
+            ScalarExpr::select(
+                lt(0, 3),
+                ScalarExpr::select(
+                    lt(1, 1),
+                    ScalarExpr::input(0, vec![IndexExpr::var(0)]),
+                    ScalarExpr::input(1, vec![IndexExpr::var(1)]),
+                ),
+                ScalarExpr::Const(2.0),
+            ),
+        );
+        p.mark_output(t);
+        let cp = compile_program(&p);
+        let te = &cp.tes()[0];
+        assert_eq!(te.pieces.len(), 2);
+        assert!(te.pieces[0]
+            .code
+            .iter()
+            .any(|i| matches!(i, Instr::JumpIfNot { .. })));
+        assert_matches_interpreter(&p, 5);
+    }
+
+    #[test]
+    fn alternating_guard_is_not_split() {
+        // `v0 mod 2 == 0` flips at every row: 8 runs for one guard is not
+        // a monotone cut, so the TE compiles whole, as a runtime branch.
+        let mut p = TeProgram::new();
+        let a = p.add_input("A", Shape::new(vec![4]), DType::F32);
+        let half = IndexExpr::var(0).floor_div(2);
+        let t = p.add_te(
+            "interleave",
+            Shape::new(vec![8]),
+            DType::F32,
+            vec![a],
+            vec![],
+            None,
+            ScalarExpr::select(
+                Cond::cmp(
+                    CmpOp::Eq,
+                    IndexExpr::var(0).modulo(2),
+                    IndexExpr::constant(0),
+                ),
+                ScalarExpr::input(0, vec![half.clone()]),
+                ScalarExpr::unary(UnaryOp::Neg, ScalarExpr::input(0, vec![half])),
+            ),
+        );
+        p.mark_output(t);
+        let cp = compile_program(&p);
+        let te = &cp.tes()[0];
+        assert_eq!(te.pieces.len(), 1);
+        assert!(te.pieces[0]
+            .code
+            .iter()
+            .any(|i| matches!(i, Instr::JumpIfNot { .. })));
+        assert_matches_interpreter(&p, 4);
+    }
+
+    #[test]
+    fn failing_taken_branch_in_a_piece_reports_the_interpreters_error() {
+        // Rows [0, 4) read A[v0 + 1]: row 3 reads A[4], out of bounds on
+        // the taken branch. Rows [4, 8) are fine; the error must still be
+        // the first failing element's, with the unshifted index.
+        let mut p = TeProgram::new();
+        let a = p.add_input("A", Shape::new(vec![4]), DType::F32);
+        let t = p.add_te(
+            "shifted",
+            Shape::new(vec![8]),
+            DType::F32,
+            vec![a],
+            vec![],
+            None,
+            ScalarExpr::select(
+                lt(0, 4),
+                ScalarExpr::input(0, vec![IndexExpr::var(0).add(IndexExpr::constant(1))]),
+                ScalarExpr::input(0, vec![IndexExpr::var(0).sub(IndexExpr::constant(4))]),
+            ),
+        );
+        p.mark_output(t);
+        let cp = compile_program(&p);
+        assert_eq!(cp.tes()[0].pieces.len(), 2);
+        assert_eq!(cp.tes()[0].num_generic_accesses(), 1);
+        let bindings = random_bindings(&p, 1);
+        assert!(eval_program(&p, &bindings).is_err());
+        assert_matches_interpreter(&p, 1);
+    }
+
+    #[test]
+    fn strip_mined_reduction_selects_two_axis_row_dot() {
+        // The post-fusion attention projection: out[i, j] = Σ_r
+        // X[r / 16, i, r mod 16] · W[r, j] with r < 64. Splitting
+        // r = 16·rh + rl makes both accesses affine, and the ascending
+        // (rh, rl) odometer keeps the combine order.
+        let mut p = TeProgram::new();
+        let x = p.add_input("X", Shape::new(vec![4, 24, 16]), DType::F32);
+        let w = p.add_weight("W", Shape::new(vec![64, 40]), DType::F32);
+        let r = IndexExpr::var(2);
+        let t = p.add_te(
+            "proj",
+            Shape::new(vec![24, 40]),
+            DType::F32,
+            vec![x, w],
+            vec![64],
+            Some(ReduceOp::Sum),
+            ScalarExpr::binary(
+                BinaryOp::Mul,
+                ScalarExpr::input(
+                    0,
+                    vec![
+                        r.clone().floor_div(16),
+                        IndexExpr::var(0),
+                        r.clone().modulo(16),
+                    ],
+                ),
+                ScalarExpr::input(1, vec![r, IndexExpr::var(1)]),
+            ),
+        );
+        p.mark_output(t);
+        let cp = compile_program(&p);
+        let piece = &cp.tes()[0].pieces[0];
+        assert_eq!(piece.reduce, vec![4, 16]);
+        assert!(piece.generic.is_empty());
+        assert!(matches!(piece.tier, KernelSel::RowDot { .. }));
+        assert_matches_interpreter(&p, 12);
     }
 
     #[test]
@@ -640,14 +1215,14 @@ mod tests {
         p.mark_output(r);
         let cp = compile_program(&p);
         assert!(matches!(
-            cp.tes()[0].kind,
+            cp.tes()[0].pieces[0].kind,
             BodyKind::MulAffine { a: 0, b: 1 }
         ));
         assert!(matches!(
-            cp.tes()[1].kind,
+            cp.tes()[1].pieces[0].kind,
             BodyKind::AffineLoad { access: 0 }
         ));
-        assert!(matches!(cp.tes()[2].kind, BodyKind::Generic));
+        assert!(matches!(cp.tes()[2].pieces[0].kind, BodyKind::Generic));
     }
 
     #[test]

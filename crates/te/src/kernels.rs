@@ -5,13 +5,25 @@
 //! scalar per-element dispatch — fast relative to the tree-walking
 //! interpreter, but far from what the hardware can do. This module adds a
 //! third evaluator tier between the two: at compile time, [`select`]
-//! pattern-matches each TE (using the body classification the compiler
-//! already performs plus the strength-reduced stride tables) and, when the
-//! strides are compile-time constant and unit (or zero) along the axes
-//! that matter, pins a monomorphized fixed-stride Rust inner loop to the
-//! TE. The VM's `run_chunk` dispatches to it instead of the bytecode loop;
-//! everything else falls back to the bytecode path, with the reason
-//! recorded for the `kernels.fallback.*` trace counters.
+//! pattern-matches each compiled piece (using the body classification the
+//! compiler already performs plus the strength-reduced stride tables)
+//! and, when the strides are compile-time constant and unit (or zero)
+//! along the axes that matter, pins a monomorphized fixed-stride Rust
+//! inner loop to the piece. The VM dispatches to it instead of the
+//! bytecode loop; everything else falls back to the bytecode path, with
+//! the reason recorded for the `kernels.fallback.*` trace counters.
+//!
+//! # Pieces
+//!
+//! Selection is per *piece* ([`crate::compile`]): a TE whose guards cut
+//! its output box — a horizontal-fusion group — is compiled once per
+//! piece, on which the guard is gone and every access is affine and
+//! provably in bounds, so each member selects the kernel it would select
+//! on its own (`row_dot` for the QKV GEMMs, `copy_rows` for the head
+//! reshapes). The VM walks a chunk's flat range as runs inside one piece
+//! each and hands every run to its piece's kernel at the piece-local
+//! position, so a kernel only ever sees an ordinary box. [`KernelStats`]
+//! counts one dispatch per piece.
 //!
 //! # Supported shapes
 //!
@@ -27,7 +39,10 @@
 //!   left factor does not vary along the innermost output axis and the
 //!   right factor is unit-stride along it: an accumulator tile over the
 //!   output row, updated k-outer/j-inner so the compiler keeps lanes in
-//!   registers.
+//!   registers. Over one reduction axis, or two: a strip-mined reduction
+//!   `[E/k, k]` (the post-fusion attention projection) runs its outer k
+//!   loop over the operand bases and its inner k loop as before, both
+//!   ascending, which is the bytecode odometer's order.
 //! - **`slice_dot`** — inner products where both factors are unit-stride
 //!   along the reduction axis (attention's `Q·Kᵀ` rows): bounds-check-free
 //!   slice iteration with a single sequential accumulator.
@@ -51,7 +66,7 @@
 //! deterministic; the runtime aggregates them into [`KernelStats`] and the
 //! trace spine exposes them as `kernels.*` counters.
 
-use crate::compile::{AffineAccess, BodyKind, CompiledTe, Instr};
+use crate::compile::{AffineAccess, BodyKind, Instr, Piece};
 use crate::te::ReduceOp;
 
 /// Environment variable overriding the kernel-tier mode: `on`/`1`/`true`
@@ -150,9 +165,9 @@ impl FallbackReason {
     }
 }
 
-/// The kernel selected for a TE at compile time (stored on
-/// [`CompiledTe`]). Selection is static: the same TE always dispatches the
-/// same way, which keeps dispatch counters deterministic and lets the
+/// The kernel selected for one piece of a TE at compile time (stored on
+/// its [`Piece`]). Selection is static: the same piece always dispatches
+/// the same way, which keeps dispatch counters deterministic and lets the
 /// differential suites force the tier on or off without recompiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum KernelSel {
@@ -185,10 +200,10 @@ impl KernelSel {
     }
 }
 
-/// Picks the kernel for one compiled TE. Called once per TE at compile
-/// time; the predicate only consults compile-time constants (body
+/// Picks the kernel for one compiled piece. Called once per piece at
+/// compile time; the predicate only consults compile-time constants (body
 /// classification, stride tables, reduction extents), never data.
-pub(crate) fn select(te: &CompiledTe) -> KernelSel {
+pub(crate) fn select(te: &Piece) -> KernelSel {
     let points = te.out_shape.numel().max(1) * te.reduce.iter().product::<i64>().max(1);
     if points < SMALL_TE_POINTS {
         return KernelSel::Fallback(FallbackReason::SmallTe);
@@ -208,7 +223,7 @@ pub(crate) fn select(te: &CompiledTe) -> KernelSel {
 }
 
 /// Selection for map-style (no-reduction) bodies.
-fn select_map(te: &CompiledTe) -> KernelSel {
+fn select_map(te: &Piece) -> KernelSel {
     let rank = te.out_shape.rank();
     if rank == 0 {
         return KernelSel::Fallback(FallbackReason::ScalarOutput);
@@ -250,17 +265,21 @@ fn select_map(te: &CompiledTe) -> KernelSel {
     KernelSel::EwTile
 }
 
+/// `row_dot` when the left factor of `a · b` is constant along the
+/// innermost output axis and the right factor is unit-stride along it.
+fn select_row_dot(te: &Piece, a: usize, b: usize) -> Option<KernelSel> {
+    let last = te.out_shape.rank().checked_sub(1)?;
+    (te.affine[a].coeffs[last] == 0 && te.affine[b].coeffs[last] == 1)
+        .then_some(KernelSel::RowDot { a, b })
+}
+
 /// Selection for single-axis reductions.
-fn select_single_reduce(te: &CompiledTe) -> KernelSel {
-    let rank = te.out_shape.rank();
+fn select_single_reduce(te: &Piece) -> KernelSel {
     let kv = te.n_vars - 1; // the lone reduction variable
     match te.kind {
         BodyKind::MulAffine { a, b } => {
-            if rank >= 1 {
-                let last = rank - 1;
-                if te.affine[a].coeffs[last] == 0 && te.affine[b].coeffs[last] == 1 {
-                    return KernelSel::RowDot { a, b };
-                }
+            if let Some(sel) = select_row_dot(te, a, b) {
+                return sel;
             }
             if te.affine[a].coeffs[kv] == 1 && te.affine[b].coeffs[kv] == 1 {
                 return KernelSel::SliceDot { a, b };
@@ -278,14 +297,17 @@ fn select_single_reduce(te: &CompiledTe) -> KernelSel {
     }
 }
 
-/// Selection for two-axis reductions whose combined slice is contiguous:
-/// unit stride along the inner reduction axis and a stride along the
-/// outer axis equal to the inner extent mean the `outer × inner` region
-/// is one flat slice, and the odometer's lexicographic (outer, inner)
-/// combine order is exactly ascending-address order — so the sequential
-/// slice fold is bit-identical to the bytecode. This catches pooling-style
-/// `[h, w]` reductions that previously fell back as `multi_axis_reduce`.
-fn select_two_axis_reduce(te: &CompiledTe, inner: i64) -> KernelSel {
+/// Selection for two-axis reductions. First, those whose combined slice
+/// is contiguous: unit stride along the inner reduction axis and a stride
+/// along the outer axis equal to the inner extent mean the `outer × inner`
+/// region is one flat slice, and the odometer's lexicographic (outer,
+/// inner) combine order is exactly ascending-address order — so the
+/// sequential slice fold is bit-identical to the bytecode. This catches
+/// pooling-style `[h, w]` reductions. Then `row_dot` products, whose
+/// segment kernel runs both k loops in the odometer's order: this is what
+/// a strip-mined reduction (`[E/k, k]`, the post-fusion attention
+/// projection) selects.
+fn select_two_axis_reduce(te: &Piece, inner: i64) -> KernelSel {
     let kv_in = te.n_vars - 1;
     let kv_out = te.n_vars - 2;
     let contiguous = |a: &AffineAccess| a.coeffs[kv_in] == 1 && a.coeffs[kv_out] == inner;
@@ -301,7 +323,8 @@ fn select_two_axis_reduce(te: &CompiledTe, inner: i64) -> KernelSel {
             if contiguous(&te.affine[a]) && contiguous(&te.affine[b]) {
                 KernelSel::SliceDot { a, b }
             } else {
-                KernelSel::Fallback(FallbackReason::MultiAxisReduce)
+                select_row_dot(te, a, b)
+                    .unwrap_or(KernelSel::Fallback(FallbackReason::MultiAxisReduce))
             }
         }
         BodyKind::Generic => KernelSel::Fallback(FallbackReason::ReducedBody),
@@ -404,13 +427,7 @@ fn fallback_counter_name(r: FallbackReason) -> &'static str {
 /// Chunks are arbitrary flat ranges — the runtime splits on chunk-size
 /// boundaries, not row boundaries — so the row-based kernels walk
 /// *segments*: the intersection of the chunk with each output row.
-pub(crate) fn run(
-    te: &CompiledTe,
-    start: usize,
-    out: &mut [f32],
-    operands: &[&[f32]],
-    fast_math: bool,
-) {
+pub(crate) fn run(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]], fast_math: bool) {
     match te.tier {
         KernelSel::CopyRows { .. } | KernelSel::EwTile | KernelSel::RowDot { .. } => {
             run_rows(te, start, out, operands)
@@ -425,7 +442,7 @@ pub(crate) fn run(
 /// Decodes a flat starting element into loop variables and the
 /// strength-reduced per-access offsets (the same preamble as the VM's
 /// `run_chunk`).
-fn decode_start(te: &CompiledTe, start: usize) -> (Vec<i64>, Vec<i64>) {
+fn decode_start(te: &Piece, start: usize) -> (Vec<i64>, Vec<i64>) {
     let n_iter = te.out_shape.rank();
     let dims = te.out_shape.dims();
     let mut vars = vec![0i64; te.n_vars];
@@ -447,7 +464,7 @@ fn decode_start(te: &CompiledTe, start: usize) -> (Vec<i64>, Vec<i64>) {
 /// with `vars`/`offsets` positioned at the segment start, then advances
 /// the odometer by the whole segment (one multiply-add per access instead
 /// of one add per element).
-fn run_rows(te: &CompiledTe, start: usize, out: &mut [f32], operands: &[&[f32]]) {
+fn run_rows(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]]) {
     let n_iter = te.out_shape.rank();
     let dims = te.out_shape.dims();
     let last = n_iter - 1; // selection guarantees rank >= 1
@@ -524,7 +541,7 @@ fn run_rows(te: &CompiledTe, start: usize, out: &mut [f32], operands: &[&[f32]])
 /// exact instruction sequence the scalar VM would run, so results are
 /// bit-identical; the per-instruction lane loops are what autovectorizes.
 fn ew_tile_segment(
-    te: &CompiledTe,
+    te: &Piece,
     offsets: &[i64],
     operands: &[&[f32]],
     regs: &mut [[f32; TILE]],
@@ -582,9 +599,11 @@ fn ew_tile_segment(
 /// `a_k · b[k, j0+j]` with k outer and j inner, so the j-lane loop
 /// autovectorizes while each output element still receives its terms in
 /// exactly the scalar k order (bit-identical by construction; this is why
-/// `fast_math` has nothing to relax here).
+/// `fast_math` has nothing to relax here). Over two reduction axes the
+/// outer one steps the operand bases and the inner one runs as above,
+/// both ascending — the odometer's order.
 fn row_dot_segment(
-    te: &CompiledTe,
+    te: &Piece,
     a: usize,
     b: usize,
     offsets: &[i64],
@@ -596,34 +615,43 @@ fn row_dot_segment(
     let (da, db) = (operands[aa.operand], operands[ab.operand]);
     let kv = te.n_vars - 1;
     let (ca, cb) = (aa.coeffs[kv], ab.coeffs[kv]);
-    let ext = te.reduce[0];
+    let (outer, ext, ca_out, cb_out) = match *te.reduce.as_slice() {
+        [ext] => (1, ext, 0, 0),
+        [outer, ext] => (outer, ext, aa.coeffs[kv - 1], ab.coeffs[kv - 1]),
+        _ => unreachable!("row_dot is selected for one or two reduction axes"),
+    };
     let op = te.reduce_op.expect("validated reduction");
     let len = seg.len();
     acc.fill(op.init());
-    let (mut oa, mut ob) = (offsets[a], offsets[b]);
-    match op {
-        ReduceOp::Sum => {
-            for _ in 0..ext {
-                let x = da[oa as usize];
-                let brow = &db[ob as usize..ob as usize + len];
-                for (acc_j, &b_j) in acc.iter_mut().zip(brow) {
-                    *acc_j += x * b_j;
+    let (mut oa_out, mut ob_out) = (offsets[a], offsets[b]);
+    for _ in 0..outer {
+        let (mut oa, mut ob) = (oa_out, ob_out);
+        match op {
+            ReduceOp::Sum => {
+                for _ in 0..ext {
+                    let x = da[oa as usize];
+                    let brow = &db[ob as usize..ob as usize + len];
+                    for (acc_j, &b_j) in acc.iter_mut().zip(brow) {
+                        *acc_j += x * b_j;
+                    }
+                    oa += ca;
+                    ob += cb;
                 }
-                oa += ca;
-                ob += cb;
+            }
+            _ => {
+                for _ in 0..ext {
+                    let x = da[oa as usize];
+                    let brow = &db[ob as usize..ob as usize + len];
+                    for (acc_j, &b_j) in acc.iter_mut().zip(brow) {
+                        *acc_j = op.combine(*acc_j, x * b_j);
+                    }
+                    oa += ca;
+                    ob += cb;
+                }
             }
         }
-        _ => {
-            for _ in 0..ext {
-                let x = da[oa as usize];
-                let brow = &db[ob as usize..ob as usize + len];
-                for (acc_j, &b_j) in acc.iter_mut().zip(brow) {
-                    *acc_j = op.combine(*acc_j, x * b_j);
-                }
-                oa += ca;
-                ob += cb;
-            }
-        }
+        oa_out += ca_out;
+        ob_out += cb_out;
     }
     seg.copy_from_slice(acc);
 }
@@ -632,7 +660,7 @@ fn row_dot_segment(
 /// odometer, with each element's reduction running over contiguous
 /// (unit-stride) operand slices — no bounds checks, no offset updates in
 /// the inner loop.
-fn run_elems(te: &CompiledTe, start: usize, out: &mut [f32], operands: &[&[f32]], fast_math: bool) {
+fn run_elems(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]], fast_math: bool) {
     let n_iter = te.out_shape.rank();
     let dims = te.out_shape.dims();
     // One or two reduction axes; in the two-axis case selection proved the
@@ -760,7 +788,10 @@ mod tests {
         let c = builders::matmul(&mut p, "mm", a, b);
         p.mark_output(c);
         let cp = compile_program(&p);
-        assert!(matches!(cp.tes()[0].tier, KernelSel::RowDot { .. }));
+        assert!(matches!(
+            cp.tes()[0].pieces[0].tier,
+            KernelSel::RowDot { .. }
+        ));
     }
 
     #[test]
@@ -773,12 +804,12 @@ mod tests {
         let t = builders::transpose(&mut p, "t", r, &[1, 0]);
         p.mark_output(t);
         let cp = compile_program(&p);
-        assert!(matches!(cp.tes()[0].tier, KernelSel::EwTile));
-        assert!(matches!(cp.tes()[1].tier, KernelSel::EwTile));
+        assert!(matches!(cp.tes()[0].pieces[0].tier, KernelSel::EwTile));
+        assert!(matches!(cp.tes()[1].pieces[0].tier, KernelSel::EwTile));
         // transpose: stride along the innermost output axis is the row
         // width, not 1 — stays on bytecode.
         assert!(matches!(
-            cp.tes()[2].tier,
+            cp.tes()[2].pieces[0].tier,
             KernelSel::Fallback(FallbackReason::Strided)
         ));
     }
@@ -817,7 +848,7 @@ mod tests {
         let cp = compile_program(&p);
         // 32 body evaluations: launch overhead would dominate any kernel.
         assert_eq!(
-            cp.tes()[0].tier,
+            cp.tes()[0].pieces[0].tier,
             KernelSel::Fallback(FallbackReason::SmallTe)
         );
     }
@@ -831,7 +862,10 @@ mod tests {
         let s = builders::reduce_last(&mut p, "rs", ReduceOp::Sum, a);
         p.mark_output(s);
         let cp = compile_program(&p);
-        assert!(matches!(cp.tes()[0].tier, KernelSel::SliceReduce { .. }));
+        assert!(matches!(
+            cp.tes()[0].pieces[0].tier,
+            KernelSel::SliceReduce { .. }
+        ));
     }
 
     #[test]
@@ -848,7 +882,8 @@ mod tests {
         let sum = cp
             .tes()
             .iter()
-            .find(|te| te.reduce.len() == 2)
+            .map(|te| &te.pieces[0])
+            .find(|p| p.reduce.len() == 2)
             .expect("pool sum TE");
         assert!(matches!(sum.tier, KernelSel::SliceReduce { .. }));
     }

@@ -715,13 +715,14 @@ impl Runtime {
             }
 
             // Tally kernel dispatches for the level (selection is static,
-            // so counts are per-TE, independent of chunking or pool size).
+            // so counts are per piece, independent of chunking or pool
+            // size).
             // A disabled tier records nothing: absent `kernels.*` counters
             // signal pure-bytecode execution.
             if exec.kernels {
                 let mut ks = self.kernel_stats.lock().expect("kernel stats poisoned");
-                for &ti in tes {
-                    ks.record(cp.tes[ti].tier);
+                for piece in tes.iter().flat_map(|&ti| &cp.tes[ti].pieces) {
+                    ks.record(piece.tier);
                 }
             }
 
@@ -799,7 +800,7 @@ fn chunk_len(te: &CompiledTe, threads: usize) -> usize {
     if n == 0 {
         return 1;
     }
-    let reduce: usize = te.reduce.iter().product::<i64>().max(1) as usize;
+    let reduce = te.reduce_points() as usize;
     if n.saturating_mul(reduce) < SERIAL_THRESHOLD {
         return n;
     }

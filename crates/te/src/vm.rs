@@ -29,7 +29,7 @@
 //! reduction combine order — is byte-for-byte the interpreter's, which is
 //! what the `evaluator_equivalence` differential suite locks down.
 
-use crate::compile::{BodyKind, CompiledProgram, CompiledTe, Instr};
+use crate::compile::{BodyKind, CompiledProgram, CompiledTe, Instr, Piece};
 use crate::interp::EvalError;
 use crate::kernels::{self, ExecOpts, KernelSel};
 use crate::program::TensorId;
@@ -92,13 +92,59 @@ pub fn thread_count() -> usize {
 /// Evaluates output elements `start .. start + out.len()` (flat row-major
 /// order) into `out`.
 ///
-/// When `exec.kernels` is set and the compiler selected a specialized
-/// kernel for this TE ([`crate::kernels`]), the monomorphized native loop
-/// runs instead of the bytecode below; selection excludes every body that
-/// can fail, so the kernel path is infallible and the error contract is
-/// carried entirely by the bytecode path.
+/// A TE split into pieces is walked in flat order as *runs* — maximal
+/// stretches of the range inside one piece — each handed to its piece at
+/// the matching piece-local position. Elements therefore run in the same
+/// order as unsplit, so the first failing element (and the error) is the
+/// interpreter's.
 pub(crate) fn run_chunk(
     te: &CompiledTe,
+    start: usize,
+    out: &mut [f32],
+    operands: &[&[f32]],
+    exec: ExecOpts,
+) -> Result<(), EvalError> {
+    if let [piece] = te.pieces.as_slice() {
+        return run_piece(&te.name, piece, start, out, operands, exec);
+    }
+    let dims = te.out_shape.dims();
+    let axis = te.split_axis;
+    let inner = dims[axis + 1..].iter().product::<i64>() as usize;
+    let block = dims[axis] as usize * inner; // one step of the axes outside `axis`
+    let mut done = 0;
+    while done < out.len() {
+        let flat = start + done;
+        let (outer, pos) = (flat / block, flat % block);
+        let at = (pos / inner) as i64;
+        let piece = &te.pieces[te.pieces.partition_point(|p| p.lo <= at) - 1];
+        let width = piece.out_shape.dim(axis);
+        let run_end = outer * block + (piece.lo + width) as usize * inner;
+        let len = (run_end - flat).min(out.len() - done);
+        let local = (outer * width as usize + (at - piece.lo) as usize) * inner + pos % inner;
+        run_piece(
+            &te.name,
+            piece,
+            local,
+            &mut out[done..done + len],
+            operands,
+            exec,
+        )?;
+        done += len;
+    }
+    Ok(())
+}
+
+/// Evaluates elements `start .. start + out.len()` of one piece's box
+/// (TE `name`'s, for errors) into `out`.
+///
+/// When `exec.kernels` is set and the compiler selected a specialized
+/// kernel for this piece ([`crate::kernels`]), the monomorphized native
+/// loop runs instead of the bytecode below; selection excludes every body
+/// that can fail, so the kernel path is infallible and the error contract
+/// is carried entirely by the bytecode path.
+fn run_piece(
+    name: &str,
+    te: &Piece,
     start: usize,
     out: &mut [f32],
     operands: &[&[f32]],
@@ -137,6 +183,7 @@ pub(crate) fn run_chunk(
                         * operands[te.affine[b].operand][offsets[b] as usize]
                 }
                 BodyKind::Generic => run_body(
+                    name,
                     te,
                     &mut regs,
                     &mut vars,
@@ -205,6 +252,7 @@ pub(crate) fn run_chunk(
                                     * operands[te.affine[b].operand][offsets[b] as usize]
                             }
                             BodyKind::Generic => run_body(
+                                name,
                                 te,
                                 &mut regs,
                                 &mut vars,
@@ -292,7 +340,7 @@ impl FoldEval {
     /// Drops cached values of every fold whose dependency set contains
     /// `var` (called when the odometer or an enclosing fold steps it).
     #[inline]
-    pub(crate) fn invalidate(&mut self, te: &CompiledTe, var: usize) {
+    pub(crate) fn invalidate(&mut self, te: &Piece, var: usize) {
         for (i, f) in te.folds.iter().enumerate() {
             if f.deps.contains(&var) {
                 self.valid[i] = false;
@@ -305,8 +353,9 @@ impl FoldEval {
 /// the value of the result register. `vars`/`offsets` are mutated only
 /// transiently by inline fold loops and are restored before returning.
 #[inline]
-pub(crate) fn run_body(
-    te: &CompiledTe,
+fn run_body(
+    name: &str,
+    te: &Piece,
     regs: &mut [f32],
     vars: &mut [i64],
     offsets: &mut [i64],
@@ -314,15 +363,16 @@ pub(crate) fn run_body(
     fold_eval: &mut FoldEval,
 ) -> Result<f32, EvalError> {
     run_code(
-        te, &te.code, te.result, regs, vars, offsets, operands, fold_eval,
+        name, te, &te.code, te.result, regs, vars, offsets, operands, fold_eval,
     )
 }
 
-/// Executes one code sequence (the TE body or a fold body) and returns the
-/// value of `result`.
+/// Executes one code sequence (the piece body or a fold body) and returns
+/// the value of `result`.
 #[allow(clippy::too_many_arguments)]
 fn run_code(
-    te: &CompiledTe,
+    name: &str,
+    te: &Piece,
     code: &[Instr],
     result: u32,
     regs: &mut [f32],
@@ -346,13 +396,13 @@ fn run_code(
             Instr::LoadGeneric { dst, access } => {
                 let g = &te.generic[*access as usize];
                 if g.indices.len() != g.dims.len() {
-                    return Err(oob(te, g, vars));
+                    return Err(oob(name, g, vars));
                 }
                 let mut flat = 0i64;
                 for (idx, &d) in g.indices.iter().zip(&g.dims) {
                     let i = idx.eval(vars);
                     if !(0..d).contains(&i) {
-                        return Err(oob(te, g, vars));
+                        return Err(oob(name, g, vars));
                     }
                     flat = flat * d + i;
                 }
@@ -392,7 +442,7 @@ fn run_code(
                         // previous evaluation discarded on the first).
                         fold_eval.invalidate(te, f.var);
                         let v = run_code(
-                            te, &f.code, f.result, regs, vars, offsets, operands, fold_eval,
+                            name, te, &f.code, f.result, regs, vars, offsets, operands, fold_eval,
                         )?;
                         acc = f.op.combine(acc, v);
                         vars[f.var] += 1;
@@ -422,9 +472,9 @@ fn run_code(
 /// by re-deriving the full evaluated index vector, then delegating to the
 /// shared [`EvalError::oob_access`] constructor — the single construction
 /// site both evaluator tiers use, so their errors cannot drift.
-fn oob(te: &CompiledTe, g: &crate::compile::GenericAccess, vars: &[i64]) -> EvalError {
+fn oob(name: &str, g: &crate::compile::GenericAccess, vars: &[i64]) -> EvalError {
     EvalError::oob_access(
-        &te.name,
+        name,
         g.operand,
         g.indices.iter().map(|e| e.eval(vars)).collect(),
         &g.dims,

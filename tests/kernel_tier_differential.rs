@@ -21,6 +21,7 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use souffle_affine::IndexExpr;
+use souffle_frontend::models::bert::BertConfig;
 use souffle_frontend::{build_model, Model, ModelConfig};
 use souffle_te::interp::{eval_program, random_bindings};
 use souffle_te::{
@@ -311,6 +312,71 @@ fn model_censuses_match_expected_kernel_mix() {
         fused_census.fallback[reason_index(FallbackReason::ReducedBody)] > 0,
         "transformed BERT fold-carrying TEs must fall back reduced_body: {fused_census:?}"
     );
+
+    // BERT at the pipeline bench's scale (what infer-bert evaluates):
+    // under the full pipeline the horizontal groups split at their guard
+    // cuts and the projection strip-mines, so nothing falls back for
+    // control flow or a generic access, and the QKV GEMM pieces and the
+    // projection run row_dot; only the fold-carrying TEs stay on bytecode.
+    // At V0 the head reshapes' delinearized reads are affine in range, so
+    // they copy rows.
+    let bench_bert = souffle_frontend::models::bert::build(&BertConfig {
+        layers: 2,
+        hidden: 64,
+        heads: 4,
+        seq: 64,
+        ffn: 256,
+    });
+    let tes_of = |opts: souffle::SouffleOptions| {
+        let opts = souffle::SouffleOptions {
+            verify: false,
+            ..opts
+        };
+        compile_program(&souffle::Souffle::new(opts).compile(&bench_bert).program)
+    };
+    let full = tes_of(souffle::SouffleOptions::full());
+    let census = full.kernel_census();
+    for reason in [FallbackReason::ControlFlow, FallbackReason::GenericAccess] {
+        assert_eq!(
+            census.fallback[reason_index(reason)],
+            0,
+            "full-pipeline BERT(bench) must not fall back {}: {census:?}",
+            reason.name()
+        );
+    }
+    let named = |suffix: &str| {
+        full.tes()
+            .iter()
+            .filter(move |te| te.name().ends_with(suffix))
+            .collect::<Vec<_>>()
+    };
+    let (qkv, proj) = (named(".v)"), named(".proj"));
+    assert_eq!(
+        (qkv.len(), proj.len()),
+        (2, 2),
+        "one QKV group and one projection per layer"
+    );
+    for te in qkv {
+        assert!(te.name().starts_with("hfuse("), "{}", te.name());
+        assert_eq!(te.piece_kernels(), vec!["row_dot"; 3], "{}", te.name());
+    }
+    for te in proj {
+        assert_eq!(te.piece_kernels(), vec!["row_dot"], "{}", te.name());
+    }
+    let v0 = tes_of(souffle::SouffleOptions::v0());
+    let reshapes: Vec<_> = v0
+        .tes()
+        .iter()
+        .filter(|te| {
+            [".q.reshape", ".k.reshape", ".v.reshape"]
+                .iter()
+                .any(|s| te.name().ends_with(s))
+        })
+        .collect();
+    assert_eq!(reshapes.len(), 6, "q/k/v reshapes of two layers");
+    for te in reshapes {
+        assert_eq!(te.kernel(), "copy_rows", "V0 {}", te.name());
+    }
 
     for conv_model in [Model::ResNext, Model::EfficientNet] {
         let census = compile_program(&build_model(conv_model, ModelConfig::Paper)).kernel_census();

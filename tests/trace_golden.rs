@@ -71,22 +71,22 @@ fn structure_is_stable_across_runs() {
 /// Pins the kernel-tier counter vocabulary: at test scale most of BERT's
 /// TEs sit below the small-TE cutoff (specializing them loses to
 /// dispatch overhead — the MMoE regression), so the golden run must show
-/// the cutoff holding them on bytecode via `fallback.small_te`, the big
-/// FFN matmuls still reaching `row_dot`, and the reduction-fused softmax
-/// bodies (which carry inline folds) declining specialization via
-/// `fallback.reduced_body`. Paper-scale census pins — where `slice_dot`,
-/// `slice_reduce`, and `ew_tile` fire — live in
-/// `kernel_tier_differential`. Every `kernels.*` counter a trace emits
-/// must come from [`souffle_te::KernelStats`]'s stable name set — no
-/// ad-hoc counter names on the spine.
+/// the cutoff holding them on bytecode via `fallback.small_te`, the
+/// matmuls — the QKV group's pieces among them — still reaching
+/// `row_dot`, and the fused attention scores reaching `slice_dot`.
+/// Paper-scale census pins — where `slice_reduce`, `ew_tile` and the
+/// honest fallbacks fire — live in `kernel_tier_differential`. Every
+/// `kernels.*` counter a trace emits must come from
+/// [`souffle_te::KernelStats`]'s stable name set — no ad-hoc counter
+/// names on the spine.
 #[test]
 fn kernel_tier_counters_are_pinned_in_traces() {
     let trace = traced_run(Model::Bert);
     for required in [
         "kernels.row_dot",
+        "kernels.slice_dot",
         "kernels.bytecode",
         "kernels.fallback.small_te",
-        "kernels.fallback.reduced_body",
     ] {
         assert!(
             trace.counters.get(required).is_some_and(|&v| v > 0),
