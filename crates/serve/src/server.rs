@@ -45,6 +45,7 @@ use souffle_tensor::{DType, Shape, Tensor};
 use souffle_trace::Tracer;
 use souffle_transform::{batch_program, split_batch, stack_tensors};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -151,12 +152,18 @@ pub struct Response {
 pub enum ServeError {
     /// The batched evaluation failed; carries the rendered eval error.
     Eval(String),
+    /// Building or running the batch panicked — a bucket variant that
+    /// fails verification or batch certification, or needs a weight that
+    /// was never registered; carries the panic message. Only that batch's
+    /// requests fail; the worker goes on serving.
+    Panicked(String),
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Eval(e) => write!(f, "batched evaluation failed: {e}"),
+            ServeError::Panicked(e) => write!(f, "batch execution panicked: {e}"),
         }
     }
 }
@@ -218,12 +225,18 @@ struct Completion {
 
 impl Completion {
     fn complete(&self, result: Result<Response, ServeError>) {
+        assert!(self.complete_if_pending(result), "request completed twice");
+    }
+
+    /// Completes the request unless it already is; whether it completed.
+    fn complete_if_pending(&self, result: Result<Response, ServeError>) -> bool {
         let mut slot = self.slot.lock().expect("completion lock poisoned");
-        match *slot {
-            Slot::Pending => *slot = Slot::Ready(result),
-            Slot::Ready(_) => panic!("request completed twice"),
+        if matches!(*slot, Slot::Ready(_)) {
+            return false;
         }
+        *slot = Slot::Ready(result);
         self.cv.notify_all();
+        true
     }
 }
 
@@ -1002,7 +1015,30 @@ fn worker_loop(shared: &Shared) {
                 st = shared.work.wait(st).expect("server state poisoned");
             }
         };
-        execute_batch(shared, rb);
+        // A panic while building or running the batch fails exactly this
+        // batch's requests; the worker survives to serve the next one.
+        let handles: Vec<Arc<Completion>> = rb
+            .batch
+            .items
+            .iter()
+            .map(|it| Arc::clone(&it.done))
+            .collect();
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| execute_batch(shared, rb))) {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let err = ServeError::Panicked(message);
+            let failed = handles
+                .iter()
+                .filter(|h| h.complete_if_pending(Err(err.clone())))
+                .count() as u64;
+            let mut st = shared.state.lock().expect("server state poisoned");
+            st.inflight -= handles.len();
+            st.stats.failed += failed;
+            st.stats.completed += handles.len() as u64 - failed;
+        }
     }
 }
 

@@ -14,14 +14,16 @@
 //! these properties are about queueing, not tensor math (that is
 //! `tests/serve_differential.rs` at the workspace root).
 
-use souffle_serve::{ServeOptions, ServerBuilder, Submit};
+use souffle::affine::IndexExpr;
+use souffle_serve::{Response, ResponseHandle, ServeError, ServeOptions, ServerBuilder, Submit};
 use souffle_te::sym::{DynProgram, DynSource, DynSpec, SymTable};
-use souffle_te::{builders, TeProgram, TensorId};
+use souffle_te::{builders, ScalarExpr, TeProgram, TensorId};
 use souffle_tensor::{DType, Shape, Tensor};
 use souffle_testkit::{forall, tk_assert, tk_assert_eq, Config, Rng};
 use souffle_trace::{Trace, Tracer};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
+use std::time::{Duration, Instant};
 
 /// A deliberately tiny program (input → relu → relu) so each property
 /// case can afford a fresh server (pipeline + 4 bucket variants).
@@ -419,4 +421,99 @@ fn racing_workers_compile_a_cold_bucket_exactly_once() {
         "losers wait, then hit"
     );
     assert_eq!(compile_spans(&trace).len(), 1);
+}
+
+/// Waits for `handle` on a helper thread, giving up after `limit`.
+fn wait_within(handle: ResponseHandle, limit: Duration) -> Option<Result<Response, ServeError>> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(handle.wait());
+    });
+    rx.recv_timeout(limit).ok()
+}
+
+/// A bucket variant that cannot be built must fail exactly the requests
+/// of its batch, with a typed error, and leave the server serving: the
+/// healthy model next to it keeps answering, a retry fails the same way
+/// (nothing is cached), and shutdown returns. The broken model reads
+/// `A[v0 + 1, v1]` over a 4-row input, an out-of-bounds access (SV010):
+/// with verification on (debug builds) its build panics in the verifier;
+/// with it off, evaluation reports the out-of-bounds read.
+#[test]
+fn a_failing_build_fails_its_batch_and_the_server_keeps_serving() {
+    const LIMIT: Duration = Duration::from_secs(60);
+    let (toy, toy_input) = toy_program();
+    let mut broken = TeProgram::new();
+    let a = broken.add_input("A", Shape::new(vec![4, 4]), DType::F32);
+    let shifted = broken.add_te(
+        "shifted",
+        Shape::new(vec![4, 4]),
+        DType::F32,
+        vec![a],
+        vec![],
+        None,
+        ScalarExpr::input(
+            0,
+            vec![
+                IndexExpr::var(0).add(IndexExpr::constant(1)),
+                IndexExpr::var(1),
+            ],
+        ),
+    );
+    broken.mark_output(shifted);
+    let server = ServerBuilder::new(ServeOptions {
+        queue_capacity: 16,
+        max_batch: 1,
+        batch_deadline_ns: 100_000,
+        workers: 1,
+        buckets: vec![1, 2],
+        shape_cache_capacity: None,
+    })
+    .register("toy", &toy, HashMap::new())
+    .register("broken", &broken, HashMap::new())
+    .start();
+
+    let mut rng = Rng::new(7);
+    let submit = |model: &str, input: TensorId, rng: &mut Rng| {
+        server
+            .submit(model, toy_request(rng, input))
+            .expect_accepted()
+    };
+    let handles = vec![
+        ("broken", submit("broken", a, &mut rng)),
+        ("toy", submit("toy", toy_input, &mut rng)),
+        ("broken", submit("broken", a, &mut rng)),
+        ("toy", submit("toy", toy_input, &mut rng)),
+    ];
+    let deadline = Instant::now() + LIMIT;
+    let results: Vec<_> = handles
+        .into_iter()
+        .map(|(model, h)| {
+            let left = deadline.saturating_duration_since(Instant::now());
+            (model, wait_within(h, left))
+        })
+        .collect();
+    if results.iter().any(|(_, r)| r.is_none()) {
+        // A worker that died with the batch would make the drop-time join
+        // panic inside this panic; leak the server instead.
+        std::mem::forget(server);
+        panic!("a handle did not resolve within {LIMIT:?}");
+    }
+    // Debug builds verify every compile, so the build panics in the
+    // verifier; release builds evaluate and hit the out-of-bounds read.
+    let verifying = cfg!(debug_assertions);
+    for (model, result) in results {
+        match (model, result.expect("checked above")) {
+            ("toy", r) => assert!(r.is_ok(), "healthy model failed: {r:?}"),
+            (_, Err(ServeError::Panicked(msg))) if verifying => {
+                assert!(msg.contains("SV010"), "panic message: {msg}");
+            }
+            (_, Err(ServeError::Eval(msg))) if !verifying => {
+                assert!(msg.contains("out-of-bounds"), "eval error: {msg}");
+            }
+            (_, r) => panic!("broken model answered: {r:?}"),
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.completed, stats.failed), (2, 2), "{stats:?}");
 }
