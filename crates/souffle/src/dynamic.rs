@@ -1,94 +1,20 @@
-//! Dynamic-shape support via multi-version kernels (§9, "Reusing
+//! Dynamic-shape support via shape-bucketed kernels (§9, "Reusing
 //! dynamic-shaped tensors"): "we can generate multiple versions of a
 //! kernel and choose the appropriate one based on shape information
 //! available at execution time".
 //!
-//! [`Souffle::compile_multi_version`] compiles one [`Compiled`] artifact
-//! per shape bucket; [`MultiVersion::select`] picks the smallest bucket
-//! covering the runtime extent (inputs are padded up to the bucket).
-//!
-//! [`ShapeCache`] is the lazy successor to the eager bucket table: keyed by
-//! [`ShapeClass`] (structural program signature × bucket vector), it
-//! compiles a bucket on first miss — exactly once even under concurrent
-//! misses — and memoizes hits. `SOUFFLE_SHAPE_CACHE=off` disables the
-//! memoization (every lookup rebuilds; results are identical), which the CI
-//! sweep uses to prove the cache is semantics-free.
+//! [`ShapeCache`] holds those versions lazily: keyed by [`ShapeClass`]
+//! (structural program signature × bucket vector), it compiles a bucket
+//! on first miss — exactly once even under concurrent misses — and
+//! memoizes hits; inputs are padded up to the bucket. `SOUFFLE_SHAPE_CACHE=off`
+//! disables the memoization (every lookup rebuilds; results are
+//! identical), which the CI sweep uses to prove the cache is
+//! semantics-free.
 
-use crate::{Compiled, Souffle};
-use souffle_te::TeProgram;
 use souffle_trace::Tracer;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
-
-/// A set of compiled shape buckets for one dynamic extent (e.g. sequence
-/// length).
-#[derive(Debug, Clone)]
-pub struct MultiVersion {
-    /// `(bucket extent, compiled artifact)`, sorted ascending by extent.
-    buckets: Vec<(i64, Compiled)>,
-}
-
-impl MultiVersion {
-    /// The bucket extents, ascending.
-    pub fn bucket_sizes(&self) -> Vec<i64> {
-        self.buckets.iter().map(|(s, _)| *s).collect()
-    }
-
-    /// Number of compiled versions.
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Whether no versions were compiled.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// Picks the smallest bucket whose extent covers `runtime_extent`;
-    /// `None` when the extent exceeds every bucket (the caller must fall
-    /// back to a recompile).
-    pub fn select(&self, runtime_extent: i64) -> Option<&Compiled> {
-        self.buckets
-            .iter()
-            .find(|(s, _)| *s >= runtime_extent)
-            .map(|(_, c)| c)
-    }
-
-    /// The bucket extent [`MultiVersion::select`] would pad to.
-    pub fn selected_bucket(&self, runtime_extent: i64) -> Option<i64> {
-        self.buckets
-            .iter()
-            .map(|(s, _)| *s)
-            .find(|&s| s >= runtime_extent)
-    }
-}
-
-impl Souffle {
-    /// Compiles one version of the model per shape bucket. `build` maps a
-    /// bucket extent to the model's TE program at that extent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is empty or not strictly ascending.
-    pub fn compile_multi_version(
-        &self,
-        buckets: &[i64],
-        build: impl Fn(i64) -> TeProgram,
-    ) -> MultiVersion {
-        assert!(!buckets.is_empty(), "at least one shape bucket required");
-        assert!(
-            buckets.windows(2).all(|w| w[0] < w[1]),
-            "buckets must be strictly ascending"
-        );
-        MultiVersion {
-            buckets: buckets
-                .iter()
-                .map(|&s| (s, self.compile(&build(s))))
-                .collect(),
-        }
-    }
-}
 
 /// Environment variable controlling the shape-bucketed kernel cache:
 /// `off`/`0`/`false` disables memoization (every lookup rebuilds).
@@ -350,8 +276,8 @@ impl<V> Default for ShapeCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SouffleOptions;
-    use souffle_te::builders;
+    use crate::{Souffle, SouffleOptions};
+    use souffle_te::{builders, TeProgram};
     use souffle_tensor::{DType, Shape};
 
     fn mlp_at(seq: i64) -> TeProgram {
@@ -365,39 +291,17 @@ mod tests {
     }
 
     #[test]
-    fn selects_smallest_covering_bucket() {
-        let souffle = Souffle::new(SouffleOptions::full());
-        let mv = souffle.compile_multi_version(&[64, 128, 256], mlp_at);
-        assert_eq!(mv.len(), 3);
-        assert_eq!(mv.selected_bucket(50), Some(64));
-        assert_eq!(mv.selected_bucket(64), Some(64));
-        assert_eq!(mv.selected_bucket(65), Some(128));
-        assert_eq!(mv.selected_bucket(256), Some(256));
-        assert_eq!(mv.selected_bucket(257), None);
-        assert!(mv.select(100).is_some());
-        assert!(mv.select(1000).is_none());
-    }
-
-    #[test]
     fn larger_buckets_move_more_memory() {
         // (Latency at these tiny sizes is launch/parallelism dominated and
         // need not be monotone; traffic is.)
         let souffle = Souffle::new(SouffleOptions::full());
-        let mv = souffle.compile_multi_version(&[64, 512], mlp_at);
-        let small = souffle
-            .simulate(mv.select(64).unwrap())
-            .global_transfer_bytes();
-        let large = souffle
-            .simulate(mv.select(512).unwrap())
-            .global_transfer_bytes();
+        let traffic = |seq| {
+            souffle
+                .simulate(&souffle.compile(&mlp_at(seq)))
+                .global_transfer_bytes()
+        };
+        let (small, large) = (traffic(64), traffic(512));
         assert!(large > small, "{large} vs {small}");
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn unsorted_buckets_panic() {
-        let souffle = Souffle::new(SouffleOptions::full());
-        let _ = souffle.compile_multi_version(&[128, 64], mlp_at);
     }
 
     fn key(sig: u64, buckets: &[i64]) -> ShapeClass {
