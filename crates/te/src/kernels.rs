@@ -203,34 +203,34 @@ impl KernelSel {
 /// Picks the kernel for one compiled piece. Called once per piece at
 /// compile time; the predicate only consults compile-time constants (body
 /// classification, stride tables, reduction extents), never data.
-pub(crate) fn select(te: &Piece) -> KernelSel {
-    let points = te.out_shape.numel().max(1) * te.reduce.iter().product::<i64>().max(1);
+pub(crate) fn select(piece: &Piece) -> KernelSel {
+    let points = piece.out_shape.numel().max(1) * piece.reduce.iter().product::<i64>().max(1);
     if points < SMALL_TE_POINTS {
         return KernelSel::Fallback(FallbackReason::SmallTe);
     }
-    if !te.folds.is_empty() {
+    if !piece.folds.is_empty() {
         // Fusion-produced inline reductions carry per-slice state the
         // stateless kernels cannot express; the VM's fold cache handles
         // them well on the bytecode path.
         return KernelSel::Fallback(FallbackReason::ReducedBody);
     }
-    match *te.reduce.as_slice() {
-        [] => select_map(te),
-        [_] => select_single_reduce(te),
-        [_, inner] => select_two_axis_reduce(te, inner),
+    match *piece.reduce.as_slice() {
+        [] => select_map(piece),
+        [_] => select_single_reduce(piece),
+        [_, inner] => select_two_axis_reduce(piece, inner),
         _ => KernelSel::Fallback(FallbackReason::MultiAxisReduce),
     }
 }
 
 /// Selection for map-style (no-reduction) bodies.
-fn select_map(te: &Piece) -> KernelSel {
-    let rank = te.out_shape.rank();
+fn select_map(piece: &Piece) -> KernelSel {
+    let rank = piece.out_shape.rank();
     if rank == 0 {
         return KernelSel::Fallback(FallbackReason::ScalarOutput);
     }
     let last = rank - 1;
-    if let BodyKind::AffineLoad { access } = te.kind {
-        return match te.affine[access].coeffs[last] {
+    if let BodyKind::AffineLoad { access } = piece.kind {
+        return match piece.affine[access].coeffs[last] {
             1 => KernelSel::CopyRows {
                 access,
                 broadcast: false,
@@ -245,7 +245,7 @@ fn select_map(te: &Piece) -> KernelSel {
     // Element-wise tile: straight-line bytecode (first disqualifying
     // instruction in code order decides the reported reason) over accesses
     // that are row-uniform (stride 0) or row-contiguous (stride 1).
-    for instr in &te.code {
+    for instr in &piece.code {
         match instr {
             Instr::LoadGeneric { .. } => return KernelSel::Fallback(FallbackReason::GenericAccess),
             Instr::JumpIfNot { .. } | Instr::Jump { .. } => {
@@ -259,7 +259,11 @@ fn select_map(te: &Piece) -> KernelSel {
             | Instr::Binary { .. } => {}
         }
     }
-    if te.affine.iter().any(|a| !matches!(a.coeffs[last], 0 | 1)) {
+    if piece
+        .affine
+        .iter()
+        .any(|a| !matches!(a.coeffs[last], 0 | 1))
+    {
         return KernelSel::Fallback(FallbackReason::Strided);
     }
     KernelSel::EwTile
@@ -267,27 +271,27 @@ fn select_map(te: &Piece) -> KernelSel {
 
 /// `row_dot` when the left factor of `a · b` is constant along the
 /// innermost output axis and the right factor is unit-stride along it.
-fn select_row_dot(te: &Piece, a: usize, b: usize) -> Option<KernelSel> {
-    let last = te.out_shape.rank().checked_sub(1)?;
-    (te.affine[a].coeffs[last] == 0 && te.affine[b].coeffs[last] == 1)
+fn select_row_dot(piece: &Piece, a: usize, b: usize) -> Option<KernelSel> {
+    let last = piece.out_shape.rank().checked_sub(1)?;
+    (piece.affine[a].coeffs[last] == 0 && piece.affine[b].coeffs[last] == 1)
         .then_some(KernelSel::RowDot { a, b })
 }
 
 /// Selection for single-axis reductions.
-fn select_single_reduce(te: &Piece) -> KernelSel {
-    let kv = te.n_vars - 1; // the lone reduction variable
-    match te.kind {
+fn select_single_reduce(piece: &Piece) -> KernelSel {
+    let kv = piece.n_vars - 1; // the lone reduction variable
+    match piece.kind {
         BodyKind::MulAffine { a, b } => {
-            if let Some(sel) = select_row_dot(te, a, b) {
+            if let Some(sel) = select_row_dot(piece, a, b) {
                 return sel;
             }
-            if te.affine[a].coeffs[kv] == 1 && te.affine[b].coeffs[kv] == 1 {
+            if piece.affine[a].coeffs[kv] == 1 && piece.affine[b].coeffs[kv] == 1 {
                 return KernelSel::SliceDot { a, b };
             }
             KernelSel::Fallback(FallbackReason::Strided)
         }
         BodyKind::AffineLoad { access } => {
-            if te.affine[access].coeffs[kv] == 1 {
+            if piece.affine[access].coeffs[kv] == 1 {
                 KernelSel::SliceReduce { access }
             } else {
                 KernelSel::Fallback(FallbackReason::Strided)
@@ -307,23 +311,23 @@ fn select_single_reduce(te: &Piece) -> KernelSel {
 /// segment kernel runs both k loops in the odometer's order: this is what
 /// a strip-mined reduction (`[E/k, k]`, the post-fusion attention
 /// projection) selects.
-fn select_two_axis_reduce(te: &Piece, inner: i64) -> KernelSel {
-    let kv_in = te.n_vars - 1;
-    let kv_out = te.n_vars - 2;
+fn select_two_axis_reduce(piece: &Piece, inner: i64) -> KernelSel {
+    let kv_in = piece.n_vars - 1;
+    let kv_out = piece.n_vars - 2;
     let contiguous = |a: &AffineAccess| a.coeffs[kv_in] == 1 && a.coeffs[kv_out] == inner;
-    match te.kind {
+    match piece.kind {
         BodyKind::AffineLoad { access } => {
-            if contiguous(&te.affine[access]) {
+            if contiguous(&piece.affine[access]) {
                 KernelSel::SliceReduce { access }
             } else {
                 KernelSel::Fallback(FallbackReason::MultiAxisReduce)
             }
         }
         BodyKind::MulAffine { a, b } => {
-            if contiguous(&te.affine[a]) && contiguous(&te.affine[b]) {
+            if contiguous(&piece.affine[a]) && contiguous(&piece.affine[b]) {
                 KernelSel::SliceDot { a, b }
             } else {
-                select_row_dot(te, a, b)
+                select_row_dot(piece, a, b)
                     .unwrap_or(KernelSel::Fallback(FallbackReason::MultiAxisReduce))
             }
         }
@@ -427,13 +431,19 @@ fn fallback_counter_name(r: FallbackReason) -> &'static str {
 /// Chunks are arbitrary flat ranges — the runtime splits on chunk-size
 /// boundaries, not row boundaries — so the row-based kernels walk
 /// *segments*: the intersection of the chunk with each output row.
-pub(crate) fn run(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]], fast_math: bool) {
-    match te.tier {
+pub(crate) fn run(
+    piece: &Piece,
+    start: usize,
+    out: &mut [f32],
+    operands: &[&[f32]],
+    fast_math: bool,
+) {
+    match piece.tier {
         KernelSel::CopyRows { .. } | KernelSel::EwTile | KernelSel::RowDot { .. } => {
-            run_rows(te, start, out, operands)
+            run_rows(piece, start, out, operands)
         }
         KernelSel::SliceDot { .. } | KernelSel::SliceReduce { .. } => {
-            run_elems(te, start, out, operands, fast_math)
+            run_elems(piece, start, out, operands, fast_math)
         }
         KernelSel::Fallback(_) => unreachable!("fallback TEs dispatch to the bytecode path"),
     }
@@ -442,16 +452,16 @@ pub(crate) fn run(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]]
 /// Decodes a flat starting element into loop variables and the
 /// strength-reduced per-access offsets (the same preamble as the VM's
 /// `run_chunk`).
-fn decode_start(te: &Piece, start: usize) -> (Vec<i64>, Vec<i64>) {
-    let n_iter = te.out_shape.rank();
-    let dims = te.out_shape.dims();
-    let mut vars = vec![0i64; te.n_vars];
+fn decode_start(piece: &Piece, start: usize) -> (Vec<i64>, Vec<i64>) {
+    let n_iter = piece.out_shape.rank();
+    let dims = piece.out_shape.dims();
+    let mut vars = vec![0i64; piece.n_vars];
     let mut rem = start as i64;
     for axis in (0..n_iter).rev() {
         vars[axis] = rem % dims[axis];
         rem /= dims[axis];
     }
-    let offsets = te
+    let offsets = piece
         .affine
         .iter()
         .map(|a| a.base + a.coeffs.iter().zip(&vars).map(|(c, v)| c * v).sum::<i64>())
@@ -464,19 +474,19 @@ fn decode_start(te: &Piece, start: usize) -> (Vec<i64>, Vec<i64>) {
 /// with `vars`/`offsets` positioned at the segment start, then advances
 /// the odometer by the whole segment (one multiply-add per access instead
 /// of one add per element).
-fn run_rows(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]]) {
-    let n_iter = te.out_shape.rank();
-    let dims = te.out_shape.dims();
+fn run_rows(piece: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]]) {
+    let n_iter = piece.out_shape.rank();
+    let dims = piece.out_shape.dims();
     let last = n_iter - 1; // selection guarantees rank >= 1
     let row = dims[last];
-    let (mut vars, mut offsets) = decode_start(te, start);
+    let (mut vars, mut offsets) = decode_start(piece, start);
 
     // Kernel-specific scratch, allocated once per chunk.
-    let mut regs: Vec<[f32; TILE]> = match te.tier {
-        KernelSel::EwTile => vec![[0.0f32; TILE]; te.n_regs],
+    let mut regs: Vec<[f32; TILE]> = match piece.tier {
+        KernelSel::EwTile => vec![[0.0f32; TILE]; piece.n_regs],
         _ => Vec::new(),
     };
-    let mut acc: Vec<f32> = match te.tier {
+    let mut acc: Vec<f32> = match piece.tier {
         KernelSel::RowDot { .. } => vec![0.0f32; row as usize],
         _ => Vec::new(),
     };
@@ -485,9 +495,9 @@ fn run_rows(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]]) {
     while idx < out.len() {
         let len = ((row - vars[last]) as usize).min(out.len() - idx);
         let seg = &mut out[idx..idx + len];
-        match te.tier {
+        match piece.tier {
             KernelSel::CopyRows { access, broadcast } => {
-                let data = operands[te.affine[access].operand];
+                let data = operands[piece.affine[access].operand];
                 let off = offsets[access] as usize;
                 if broadcast {
                     seg.fill(data[off]);
@@ -495,9 +505,9 @@ fn run_rows(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]]) {
                     seg.copy_from_slice(&data[off..off + len]);
                 }
             }
-            KernelSel::EwTile => ew_tile_segment(te, &offsets, operands, &mut regs, seg),
+            KernelSel::EwTile => ew_tile_segment(piece, &offsets, operands, &mut regs, seg),
             KernelSel::RowDot { a, b } => {
-                row_dot_segment(te, a, b, &offsets, operands, &mut acc[..len], seg)
+                row_dot_segment(piece, a, b, &offsets, operands, &mut acc[..len], seg)
             }
             _ => unreachable!("run_rows only handles row-based kernels"),
         }
@@ -506,12 +516,12 @@ fn run_rows(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]]) {
         // Advance the odometer by the whole segment.
         vars[last] += len as i64;
         let step = len as i64;
-        for (off, a) in offsets.iter_mut().zip(&te.affine) {
+        for (off, a) in offsets.iter_mut().zip(&piece.affine) {
             *off += a.coeffs[last] * step;
         }
         if vars[last] == row {
             vars[last] = 0;
-            for (off, a) in offsets.iter_mut().zip(&te.affine) {
+            for (off, a) in offsets.iter_mut().zip(&piece.affine) {
                 *off -= a.coeffs[last] * row;
             }
             let mut axis = last;
@@ -522,13 +532,13 @@ fn run_rows(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]]) {
                 axis -= 1;
                 vars[axis] += 1;
                 if vars[axis] < dims[axis] {
-                    for (off, a) in offsets.iter_mut().zip(&te.affine) {
+                    for (off, a) in offsets.iter_mut().zip(&piece.affine) {
                         *off += a.coeffs[axis];
                     }
                     break;
                 }
                 vars[axis] = 0;
-                for (off, a) in offsets.iter_mut().zip(&te.affine) {
+                for (off, a) in offsets.iter_mut().zip(&piece.affine) {
                     *off -= a.coeffs[axis] * (dims[axis] - 1);
                 }
             }
@@ -541,22 +551,22 @@ fn run_rows(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]]) {
 /// exact instruction sequence the scalar VM would run, so results are
 /// bit-identical; the per-instruction lane loops are what autovectorizes.
 fn ew_tile_segment(
-    te: &Piece,
+    piece: &Piece,
     offsets: &[i64],
     operands: &[&[f32]],
     regs: &mut [[f32; TILE]],
     seg: &mut [f32],
 ) {
-    let last = te.out_shape.rank() - 1;
+    let last = piece.out_shape.rank() - 1;
     let mut pos = 0usize;
     while pos < seg.len() {
         let t = TILE.min(seg.len() - pos);
-        for instr in &te.code {
+        for instr in &piece.code {
             match instr {
                 Instr::Const { dst, value } => regs[*dst as usize][..t].fill(*value),
                 Instr::LoadAffine { dst, access } => {
                     let ai = *access as usize;
-                    let a: &AffineAccess = &te.affine[ai];
+                    let a: &AffineAccess = &piece.affine[ai];
                     let data = operands[a.operand];
                     let r = &mut regs[*dst as usize];
                     if a.coeffs[last] == 1 {
@@ -590,7 +600,7 @@ fn ew_tile_segment(
                 }
             }
         }
-        seg[pos..pos + t].copy_from_slice(&regs[te.result as usize][..t]);
+        seg[pos..pos + t].copy_from_slice(&regs[piece.result as usize][..t]);
         pos += t;
     }
 }
@@ -603,7 +613,7 @@ fn ew_tile_segment(
 /// outer one steps the operand bases and the inner one runs as above,
 /// both ascending — the odometer's order.
 fn row_dot_segment(
-    te: &Piece,
+    piece: &Piece,
     a: usize,
     b: usize,
     offsets: &[i64],
@@ -611,16 +621,16 @@ fn row_dot_segment(
     acc: &mut [f32],
     seg: &mut [f32],
 ) {
-    let (aa, ab) = (&te.affine[a], &te.affine[b]);
+    let (aa, ab) = (&piece.affine[a], &piece.affine[b]);
     let (da, db) = (operands[aa.operand], operands[ab.operand]);
-    let kv = te.n_vars - 1;
+    let kv = piece.n_vars - 1;
     let (ca, cb) = (aa.coeffs[kv], ab.coeffs[kv]);
-    let (outer, ext, ca_out, cb_out) = match *te.reduce.as_slice() {
+    let (outer, ext, ca_out, cb_out) = match *piece.reduce.as_slice() {
         [ext] => (1, ext, 0, 0),
         [outer, ext] => (outer, ext, aa.coeffs[kv - 1], ab.coeffs[kv - 1]),
         _ => unreachable!("row_dot is selected for one or two reduction axes"),
     };
-    let op = te.reduce_op.expect("validated reduction");
+    let op = piece.reduce_op.expect("validated reduction");
     let len = seg.len();
     acc.fill(op.init());
     let (mut oa_out, mut ob_out) = (offsets[a], offsets[b]);
@@ -660,24 +670,24 @@ fn row_dot_segment(
 /// odometer, with each element's reduction running over contiguous
 /// (unit-stride) operand slices — no bounds checks, no offset updates in
 /// the inner loop.
-fn run_elems(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]], fast_math: bool) {
-    let n_iter = te.out_shape.rank();
-    let dims = te.out_shape.dims();
+fn run_elems(piece: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]], fast_math: bool) {
+    let n_iter = piece.out_shape.rank();
+    let dims = piece.out_shape.dims();
     // One or two reduction axes; in the two-axis case selection proved the
     // combined region is a single contiguous slice of the product extent.
-    let ext: i64 = te.reduce.iter().product();
-    let op = te.reduce_op.expect("validated reduction");
+    let ext: i64 = piece.reduce.iter().product();
+    let op = piece.reduce_op.expect("validated reduction");
     if ext <= 0 {
         // Empty reduction: every element is the identity, and the operand
         // slices must never be formed (their offsets are unconstrained).
         out.fill(op.init());
         return;
     }
-    let (mut vars, mut offsets) = decode_start(te, start);
+    let (mut vars, mut offsets) = decode_start(piece, start);
     for slot in out.iter_mut() {
-        *slot = match te.tier {
+        *slot = match piece.tier {
             KernelSel::SliceDot { a, b } => {
-                let (aa, ab) = (&te.affine[a], &te.affine[b]);
+                let (aa, ab) = (&piece.affine[a], &piece.affine[b]);
                 let sa = &operands[aa.operand][offsets[a] as usize..(offsets[a] + ext) as usize];
                 let sb = &operands[ab.operand][offsets[b] as usize..(offsets[b] + ext) as usize];
                 match op {
@@ -699,7 +709,7 @@ fn run_elems(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]], fas
                 }
             }
             KernelSel::SliceReduce { access } => {
-                let aa = &te.affine[access];
+                let aa = &piece.affine[access];
                 let s = &operands[aa.operand]
                     [offsets[access] as usize..(offsets[access] + ext) as usize];
                 match op {
@@ -724,13 +734,13 @@ fn run_elems(te: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]], fas
             axis -= 1;
             vars[axis] += 1;
             if vars[axis] < dims[axis] {
-                for (off, a) in offsets.iter_mut().zip(&te.affine) {
+                for (off, a) in offsets.iter_mut().zip(&piece.affine) {
                     *off += a.coeffs[axis];
                 }
                 break;
             }
             vars[axis] = 0;
-            for (off, a) in offsets.iter_mut().zip(&te.affine) {
+            for (off, a) in offsets.iter_mut().zip(&piece.affine) {
                 *off -= a.coeffs[axis] * (dims[axis] - 1);
             }
         }

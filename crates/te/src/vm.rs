@@ -144,47 +144,47 @@ pub(crate) fn run_chunk(
 /// is carried entirely by the bytecode path.
 fn run_piece(
     name: &str,
-    te: &Piece,
+    piece: &Piece,
     start: usize,
     out: &mut [f32],
     operands: &[&[f32]],
     exec: ExecOpts,
 ) -> Result<(), EvalError> {
-    if exec.kernels && !matches!(te.tier, KernelSel::Fallback(_)) {
-        kernels::run(te, start, out, operands, exec.fast_math);
+    if exec.kernels && !matches!(piece.tier, KernelSel::Fallback(_)) {
+        kernels::run(piece, start, out, operands, exec.fast_math);
         return Ok(());
     }
-    let n_iter = te.out_shape.rank();
-    let dims = te.out_shape.dims();
-    let mut vars = vec![0i64; te.n_vars];
+    let n_iter = piece.out_shape.rank();
+    let dims = piece.out_shape.dims();
+    let mut vars = vec![0i64; piece.n_vars];
     let mut rem = start as i64;
     for axis in (0..n_iter).rev() {
         vars[axis] = rem % dims[axis];
         rem /= dims[axis];
     }
-    let mut offsets: Vec<i64> = te
+    let mut offsets: Vec<i64> = piece
         .affine
         .iter()
         .map(|a| a.base + a.coeffs.iter().zip(&vars).map(|(c, v)| c * v).sum::<i64>())
         .collect();
-    let mut regs = vec![0.0f32; te.n_regs];
-    let mut fold_eval = FoldEval::new(te.folds.len());
+    let mut regs = vec![0.0f32; piece.n_regs];
+    let mut fold_eval = FoldEval::new(piece.folds.len());
     for slot in out.iter_mut() {
-        let value = if te.reduce.is_empty() {
-            match te.kind {
+        let value = if piece.reduce.is_empty() {
+            match piece.kind {
                 // Specialized bodies do the exact loads and float ops the
                 // bytecode would, in the same order — only the dispatch is
                 // gone — so every result bit is unchanged.
                 BodyKind::AffineLoad { access } => {
-                    operands[te.affine[access].operand][offsets[access] as usize]
+                    operands[piece.affine[access].operand][offsets[access] as usize]
                 }
                 BodyKind::MulAffine { a, b } => {
-                    operands[te.affine[a].operand][offsets[a] as usize]
-                        * operands[te.affine[b].operand][offsets[b] as usize]
+                    operands[piece.affine[a].operand][offsets[a] as usize]
+                        * operands[piece.affine[b].operand][offsets[b] as usize]
                 }
                 BodyKind::Generic => run_body(
                     name,
-                    te,
+                    piece,
                     &mut regs,
                     &mut vars,
                     &mut offsets,
@@ -193,15 +193,15 @@ fn run_piece(
                 )?,
             }
         } else {
-            let op = te.reduce_op.expect("validated reduction");
-            match (te.reduce.as_slice(), &te.kind) {
+            let op = piece.reduce_op.expect("validated reduction");
+            match (piece.reduce.as_slice(), &piece.kind) {
                 // Single-axis inner product (matmul / unpadded conv): a
                 // tight multiply-accumulate over local offset copies. The
                 // loop visits the same elements in the same order as the
                 // odometer below, and `op.init()` + `combine` give the
                 // identical float sequence.
                 (&[ext], &BodyKind::MulAffine { a, b }) => {
-                    let (aa, ab) = (&te.affine[a], &te.affine[b]);
+                    let (aa, ab) = (&piece.affine[a], &piece.affine[b]);
                     let (da, db) = (operands[aa.operand], operands[ab.operand]);
                     let (mut oa, mut ob) = (offsets[a], offsets[b]);
                     let (ca, cb) = (aa.coeffs[n_iter], ab.coeffs[n_iter]);
@@ -229,7 +229,7 @@ fn run_piece(
                 // Single-axis single-load reduction (sum/max/min over an
                 // axis, e.g. softmax's row max and row sum).
                 (&[ext], &BodyKind::AffineLoad { access }) => {
-                    let aa = &te.affine[access];
+                    let aa = &piece.affine[access];
                     let da = operands[aa.operand];
                     let mut oa = offsets[access];
                     let ca = aa.coeffs[n_iter];
@@ -243,17 +243,17 @@ fn run_piece(
                 _ => {
                     let mut acc = op.init();
                     'reduce: loop {
-                        let v = match te.kind {
+                        let v = match piece.kind {
                             BodyKind::AffineLoad { access } => {
-                                operands[te.affine[access].operand][offsets[access] as usize]
+                                operands[piece.affine[access].operand][offsets[access] as usize]
                             }
                             BodyKind::MulAffine { a, b } => {
-                                operands[te.affine[a].operand][offsets[a] as usize]
-                                    * operands[te.affine[b].operand][offsets[b] as usize]
+                                operands[piece.affine[a].operand][offsets[a] as usize]
+                                    * operands[piece.affine[b].operand][offsets[b] as usize]
                             }
                             BodyKind::Generic => run_body(
                                 name,
-                                te,
+                                piece,
                                 &mut regs,
                                 &mut vars,
                                 &mut offsets,
@@ -262,7 +262,7 @@ fn run_piece(
                             )?,
                         };
                         acc = op.combine(acc, v);
-                        let mut axis = te.reduce.len();
+                        let mut axis = piece.reduce.len();
                         loop {
                             if axis == 0 {
                                 break 'reduce; // reduction vars back at 0, offsets restored
@@ -270,18 +270,18 @@ fn run_piece(
                             axis -= 1;
                             let vi = n_iter + axis;
                             vars[vi] += 1;
-                            if !te.folds.is_empty() {
-                                fold_eval.invalidate(te, vi);
+                            if !piece.folds.is_empty() {
+                                fold_eval.invalidate(piece, vi);
                             }
-                            if vars[vi] < te.reduce[axis] {
-                                for (off, a) in offsets.iter_mut().zip(&te.affine) {
+                            if vars[vi] < piece.reduce[axis] {
+                                for (off, a) in offsets.iter_mut().zip(&piece.affine) {
                                     *off += a.coeffs[vi];
                                 }
                                 break;
                             }
                             vars[vi] = 0;
-                            for (off, a) in offsets.iter_mut().zip(&te.affine) {
-                                *off -= a.coeffs[vi] * (te.reduce[axis] - 1);
+                            for (off, a) in offsets.iter_mut().zip(&piece.affine) {
+                                *off -= a.coeffs[vi] * (piece.reduce[axis] - 1);
                             }
                         }
                     }
@@ -298,17 +298,17 @@ fn run_piece(
             }
             axis -= 1;
             vars[axis] += 1;
-            if !te.folds.is_empty() {
-                fold_eval.invalidate(te, axis);
+            if !piece.folds.is_empty() {
+                fold_eval.invalidate(piece, axis);
             }
             if vars[axis] < dims[axis] {
-                for (off, a) in offsets.iter_mut().zip(&te.affine) {
+                for (off, a) in offsets.iter_mut().zip(&piece.affine) {
                     *off += a.coeffs[axis];
                 }
                 break;
             }
             vars[axis] = 0;
-            for (off, a) in offsets.iter_mut().zip(&te.affine) {
+            for (off, a) in offsets.iter_mut().zip(&piece.affine) {
                 *off -= a.coeffs[axis] * (dims[axis] - 1);
             }
         }
@@ -340,8 +340,8 @@ impl FoldEval {
     /// Drops cached values of every fold whose dependency set contains
     /// `var` (called when the odometer or an enclosing fold steps it).
     #[inline]
-    pub(crate) fn invalidate(&mut self, te: &Piece, var: usize) {
-        for (i, f) in te.folds.iter().enumerate() {
+    pub(crate) fn invalidate(&mut self, piece: &Piece, var: usize) {
+        for (i, f) in piece.folds.iter().enumerate() {
             if f.deps.contains(&var) {
                 self.valid[i] = false;
             }
@@ -355,7 +355,7 @@ impl FoldEval {
 #[inline]
 fn run_body(
     name: &str,
-    te: &Piece,
+    piece: &Piece,
     regs: &mut [f32],
     vars: &mut [i64],
     offsets: &mut [i64],
@@ -363,7 +363,15 @@ fn run_body(
     fold_eval: &mut FoldEval,
 ) -> Result<f32, EvalError> {
     run_code(
-        name, te, &te.code, te.result, regs, vars, offsets, operands, fold_eval,
+        name,
+        piece,
+        &piece.code,
+        piece.result,
+        regs,
+        vars,
+        offsets,
+        operands,
+        fold_eval,
     )
 }
 
@@ -372,7 +380,7 @@ fn run_body(
 #[allow(clippy::too_many_arguments)]
 fn run_code(
     name: &str,
-    te: &Piece,
+    piece: &Piece,
     code: &[Instr],
     result: u32,
     regs: &mut [f32],
@@ -389,12 +397,12 @@ fn run_code(
                 pc += 1;
             }
             Instr::LoadAffine { dst, access } => {
-                let a = &te.affine[*access as usize];
+                let a = &piece.affine[*access as usize];
                 regs[*dst as usize] = operands[a.operand][offsets[*access as usize] as usize];
                 pc += 1;
             }
             Instr::LoadGeneric { dst, access } => {
-                let g = &te.generic[*access as usize];
+                let g = &piece.generic[*access as usize];
                 if g.indices.len() != g.dims.len() {
                     return Err(oob(name, g, vars));
                 }
@@ -410,7 +418,7 @@ fn run_code(
                 pc += 1;
             }
             Instr::Index { dst, expr } => {
-                regs[*dst as usize] = te.index_exprs[*expr as usize].eval(vars) as f32;
+                regs[*dst as usize] = piece.index_exprs[*expr as usize].eval(vars) as f32;
                 pc += 1;
             }
             Instr::Unary { dst, op, src } => {
@@ -422,7 +430,7 @@ fn run_code(
                 pc += 1;
             }
             Instr::JumpIfNot { cond, target } => {
-                if te.conds[*cond as usize].eval(vars) {
+                if piece.conds[*cond as usize].eval(vars) {
                     pc += 1;
                 } else {
                     pc = *target as usize;
@@ -434,28 +442,29 @@ fn run_code(
                 let value = if fold_eval.valid[fi] {
                     fold_eval.vals[fi]
                 } else {
-                    let f = &te.folds[fi];
+                    let f = &piece.folds[fi];
                     let mut acc = f.op.init();
                     for _ in 0..f.extent {
                         // Nested folds that read this binder must be
                         // recomputed each trip (and stale values from a
                         // previous evaluation discarded on the first).
-                        fold_eval.invalidate(te, f.var);
+                        fold_eval.invalidate(piece, f.var);
                         let v = run_code(
-                            name, te, &f.code, f.result, regs, vars, offsets, operands, fold_eval,
+                            name, piece, &f.code, f.result, regs, vars, offsets, operands,
+                            fold_eval,
                         )?;
                         acc = f.op.combine(acc, v);
                         vars[f.var] += 1;
-                        for (off, a) in offsets.iter_mut().zip(&te.affine) {
+                        for (off, a) in offsets.iter_mut().zip(&piece.affine) {
                             *off += a.coeffs[f.var];
                         }
                     }
                     // Restore the binder and offsets to their pre-loop state.
                     vars[f.var] = 0;
-                    for (off, a) in offsets.iter_mut().zip(&te.affine) {
+                    for (off, a) in offsets.iter_mut().zip(&piece.affine) {
                         *off -= a.coeffs[f.var] * f.extent;
                     }
-                    fold_eval.invalidate(te, f.var);
+                    fold_eval.invalidate(piece, f.var);
                     fold_eval.vals[fi] = acc;
                     fold_eval.valid[fi] = true;
                     acc
