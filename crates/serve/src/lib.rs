@@ -26,6 +26,11 @@
 //! - **Explicit backpressure.** Admission is bounded; at capacity
 //!   [`Submit::Rejected`] is returned immediately instead of queueing
 //!   without bound.
+//! - **Fault-contained workers.** A panic while building or running a
+//!   batch — a bucket variant that fails verification or batch
+//!   certification, or needs an unregistered weight — completes exactly
+//!   that batch's requests with [`ServeError::Panicked`]; the worker
+//!   keeps serving the other batches and models.
 //! - **Deterministic core.** The [`BatcherCore`] takes time as a
 //!   parameter (virtual-clock unit tests, no sleeps); batched results
 //!   are bit-identical to per-request evaluation by the batch-invariance

@@ -10,10 +10,14 @@
 //! segment-resume logic is on the line).
 //!
 //! The suite drives that contract over the six paper models at test
-//! scale, hundreds of `TESTKIT_SEED`-randomized generated programs, and
-//! handcrafted mid-row chunk-boundary cases; it also pins the selection
-//! census on the models (BERT's matmuls really do take `row_dot`, convs
-//! really do fall back) and checks the `fast_math` opt-out stays *close*
+//! scale — raw, fused (V1 and V4) and batched the way serving runs them —
+//! hundreds of `TESTKIT_SEED`-randomized generated programs, and
+//! handcrafted chunk-boundary cases, among them a horizontal GEMM group
+//! whose chunks straddle its pieces; it also pins the selection census
+//! on the models (BERT's matmuls really do take `row_dot`, the fused
+//! BERT's guarded groups and strip-mined projection leave the bytecode
+//! path, convs really do fall back) and checks the `fast_math` opt-out
+//! stays *close*
 //! (never bit-identical is not required — it reassociates sums — but the
 //! oracle tolerance must hold).
 
