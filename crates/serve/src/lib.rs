@@ -18,7 +18,7 @@
 //!   [`souffle_te::sym::DynSpec`] — is compiled per
 //!   [`souffle::ShapeClass`] (structural signature × `(batch, seq)`
 //!   bucket vector) on first miss in a [`souffle::ShapeCache`], then
-//!   memoized. A batch of `n` requests at mixed sequence lengths runs
+//!   kept: one variant per bucket pair at most. A batch of `n` requests at mixed sequence lengths runs
 //!   on the smallest covering bucket with padded slots (mask/gate
 //!   derived inputs keep padding bit-inert) and responses are sliced
 //!   back to each request's true length. No per-request
@@ -40,18 +40,15 @@
 //!   `serve:batch:<model>` span whose children are the runtime's `eval`
 //!   tree and one `serve:request` span per request; the shape cache
 //!   records `compile:bucket:<k>` spans and the
-//!   `shape_cache.hit/miss/compile_ms/evict` counters.
+//!   `shape_cache.hit/miss/compile_ms` counters.
 //!
-//! [`loadgen`] adds a seeded open-loop (Poisson-ish) load generator; the
-//! `bench_serve` bin in `souffle-bench` uses it to produce the
-//! latency-vs-offered-load curves in `results/bench_serve.json`.
+//! The repository benchmark's `serve-bert` workload (`perfbench/`)
+//! measures this crate under load.
 
 pub mod batcher;
-pub mod loadgen;
 pub mod server;
 
 pub use batcher::{bucket_for, Batch, BatchTrigger, BatcherCore};
-pub use loadgen::{percentile_ns, run_open_loop, LoadConfig, LoadReport};
 pub use server::{
     Response, ResponseHandle, ServeError, ServeOptions, Server, ServerBuilder, ServerStats, Submit,
 };

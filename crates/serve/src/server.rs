@@ -35,7 +35,7 @@
 //! `tests/dynamic_shape_differential.rs` enforce this).
 
 use crate::batcher::{bucket_for, Batch, BatchTrigger, BatcherCore};
-use souffle::{sched::program_signature, ShapeCache, ShapeClass, SHAPE_CACHE_ENV};
+use souffle::{sched::program_signature, ShapeCache, ShapeClass};
 use souffle::{Souffle, SouffleOptions};
 use souffle_te::sym::{bucket_boundaries, DynSpec};
 use souffle_te::{
@@ -74,12 +74,9 @@ pub struct ServeOptions {
     /// Batch buckets (ascending): a batch of `n` runs padded on the
     /// smallest bucket `>= n`. The default is
     /// [`souffle_te::sym::bucket_boundaries`]`(1, 8)`. Variants compile
-    /// lazily on first use, not at registration.
+    /// lazily on first use, not at registration, and stay resident: a
+    /// model holds at most one per (batch bucket, seq bucket) pair.
     pub buckets: Vec<usize>,
-    /// Maximum resident compiled variants per model; past it the
-    /// least-recently-used ready variant is evicted (and recompiles
-    /// bit-identically on the next miss). `None` = unbounded.
-    pub shape_cache_capacity: Option<usize>,
 }
 
 impl Default for ServeOptions {
@@ -90,7 +87,6 @@ impl Default for ServeOptions {
             batch_deadline_ns: 2_000_000, // 2 ms
             workers: 1,
             buckets: vec![1, 2, 4, 8],
-            shape_cache_capacity: None,
         }
     }
 }
@@ -600,10 +596,7 @@ impl ServerBuilder {
                 output_ids,
                 sig,
                 sym,
-                variants: ShapeCache::with_settings(
-                    souffle_te::env_flag(SHAPE_CACHE_ENV).unwrap_or(true),
-                    self.opts.shape_cache_capacity,
-                ),
+                variants: ShapeCache::new(),
             }),
         );
         self

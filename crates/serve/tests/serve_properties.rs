@@ -16,7 +16,6 @@
 
 use souffle::affine::IndexExpr;
 use souffle_serve::{Response, ResponseHandle, ServeError, ServeOptions, ServerBuilder, Submit};
-use souffle_te::sym::{DynProgram, DynSource, DynSpec, SymTable};
 use souffle_te::{builders, ScalarExpr, TeProgram, TensorId};
 use souffle_tensor::{DType, Shape, Tensor};
 use souffle_testkit::{forall, tk_assert, tk_assert_eq, Config, Rng};
@@ -73,7 +72,6 @@ forall!(
             },
             workers,
             buckets: vec![1, 2, 4, 8],
-            shape_cache_capacity: None,
         })
         .register("toy", &program, HashMap::new())
         .start();
@@ -154,7 +152,6 @@ fn burst_beyond_capacity_rejects_the_excess_exactly() {
         batch_deadline_ns: 3_600_000_000_000,
         workers: 1,
         buckets: vec![1, 2, 4, 8],
-        shape_cache_capacity: None,
     })
     .register("toy", &program, HashMap::new())
     .start();
@@ -197,7 +194,6 @@ fn malformed_submissions_are_invalid_not_queued() {
         batch_deadline_ns: 1_000_000,
         workers: 1,
         buckets: vec![1, 2, 4, 8],
-        shape_cache_capacity: None,
     })
     .register("toy", &program, HashMap::new())
     .start();
@@ -235,8 +231,7 @@ fn malformed_submissions_are_invalid_not_queued() {
 //
 // The bucketed compile cache must be invisible except in compile count:
 // one compile per distinct `ShapeClass` (pinned through trace counters),
-// recompiles after eviction bit-identical, and a cold bucket raced by
-// concurrent workers compiled exactly once.
+// and a cold bucket raced by concurrent workers compiled exactly once.
 
 fn counter(trace: &Trace, name: &str) -> u64 {
     trace.counters.get(name).copied().unwrap_or(0)
@@ -249,28 +244,6 @@ fn compile_spans(trace: &Trace) -> Vec<String> {
         .filter(|s| s.name.starts_with("compile:bucket:"))
         .map(|s| s.name.clone())
         .collect()
-}
-
-/// A toy *dynamic* model: `relu` over `[seq, 4]` with `seq` symbolic in
-/// `1..=4`, so distinct sequence lengths land on distinct cache keys.
-fn dyn_toy_spec() -> DynSpec {
-    let mut table = SymTable::new();
-    let seq = table.declare("seq", 1, 4);
-    let dp = DynProgram::infer(table.clone(), &move |b| {
-        let mut p = TeProgram::new();
-        let x = p.add_input("X", Shape::new(vec![b.get(seq), 4]), DType::F32);
-        let r = builders::relu(&mut p, "r", x);
-        p.mark_output(r);
-        p
-    })
-    .expect("toy template");
-    DynSpec {
-        table,
-        source: DynSource::Template(dp),
-        pad_fill: Vec::new(),
-        derived: Vec::new(),
-        per_step: Vec::new(),
-    }
 }
 
 /// (a) Same `ShapeClass` ⇒ exactly one compile: N identical sequential
@@ -286,7 +259,6 @@ fn one_shape_class_compiles_exactly_once() {
         batch_deadline_ns: 1_000_000,
         workers: 1,
         buckets: vec![1, 2, 4, 8],
-        shape_cache_capacity: None,
     })
     .tracer(tracer.clone())
     .register("toy", &program, HashMap::new())
@@ -307,7 +279,6 @@ fn one_shape_class_compiles_exactly_once() {
     let trace = tracer.snapshot();
     assert_eq!(counter(&trace, "shape_cache.miss"), 1);
     assert_eq!(counter(&trace, "shape_cache.hit"), n - 1);
-    assert_eq!(counter(&trace, "shape_cache.evict"), 0);
     assert_eq!(
         compile_spans(&trace),
         vec!["compile:bucket:1".to_string()],
@@ -315,66 +286,7 @@ fn one_shape_class_compiles_exactly_once() {
     );
 }
 
-/// (b) Eviction then recompile is bit-identical: with a capacity-1 cache,
-/// alternating sequence buckets forces evictions, and the recompiled
-/// variant returns exactly the bytes the evicted one did.
-#[test]
-fn evicted_variants_recompile_bit_identically() {
-    let spec = dyn_toy_spec();
-    let tracer = Tracer::new();
-    let server = ServerBuilder::new(ServeOptions {
-        queue_capacity: 64,
-        max_batch: 1,
-        batch_deadline_ns: 1_000_000,
-        workers: 1,
-        buckets: vec![1, 2, 4, 8],
-        shape_cache_capacity: Some(1),
-    })
-    .tracer(tracer.clone())
-    .register_dyn("toy", spec, HashMap::new())
-    .start();
-    let input = server.input_ids("toy").expect("registered")[0];
-
-    let short = HashMap::from([(input, Tensor::random(Shape::new(vec![1, 4]), 11))]);
-    let long = HashMap::from([(input, Tensor::random(Shape::new(vec![3, 4]), 12))]);
-    let run = |req: &HashMap<TensorId, Tensor>| {
-        server
-            .submit("toy", req.clone())
-            .expect_accepted()
-            .wait()
-            .expect("serve failed")
-    };
-
-    let first = run(&short); // compile (1,1)
-    let mid = run(&long); // compile (1,4), evicts (1,1)
-    let again = run(&short); // recompile (1,1), evicts (1,4)
-    assert_eq!(mid.seq_bucket, Some(4), "3 pads onto the 4 seq bucket");
-    assert_eq!(server.cached_variants("toy"), Some(1), "capacity 1 held");
-
-    for (id, want) in &first.outputs {
-        let got = &again.outputs[id];
-        assert_eq!(want.shape(), got.shape());
-        let same = want
-            .data()
-            .iter()
-            .zip(got.data())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "recompiled variant diverged from evicted one");
-    }
-    server.shutdown();
-
-    let trace = tracer.snapshot();
-    assert_eq!(
-        counter(&trace, "shape_cache.miss"),
-        3,
-        "three cold compiles"
-    );
-    assert_eq!(counter(&trace, "shape_cache.hit"), 0);
-    assert_eq!(counter(&trace, "shape_cache.evict"), 2);
-    assert_eq!(compile_spans(&trace).len(), 3);
-}
-
-/// (c) Concurrent workers racing a cold bucket compile it exactly once:
+/// (b) Concurrent workers racing a cold bucket compile it exactly once:
 /// 8 simultaneous singleton requests across 4 workers record one miss and
 /// one compile span; every loser waits for the winner and records a hit.
 #[test]
@@ -387,7 +299,6 @@ fn racing_workers_compile_a_cold_bucket_exactly_once() {
         batch_deadline_ns: 1_000_000,
         workers: 4,
         buckets: vec![1, 2, 4, 8],
-        shape_cache_capacity: None,
     })
     .tracer(tracer.clone())
     .register("toy", &program, HashMap::new())
@@ -467,7 +378,6 @@ fn a_failing_build_fails_its_batch_and_the_server_keeps_serving() {
         batch_deadline_ns: 100_000,
         workers: 1,
         buckets: vec![1, 2],
-        shape_cache_capacity: None,
     })
     .register("toy", &toy, HashMap::new())
     .register("broken", &broken, HashMap::new())

@@ -6,19 +6,15 @@
 //! [`ShapeCache`] holds those versions lazily: keyed by [`ShapeClass`]
 //! (structural program signature × bucket vector), it compiles a bucket
 //! on first miss — exactly once even under concurrent misses — and
-//! memoizes hits; inputs are padded up to the bucket. `SOUFFLE_SHAPE_CACHE=off`
-//! disables the memoization (every lookup rebuilds; results are
-//! identical), which the CI sweep uses to prove the cache is
-//! semantics-free.
+//! memoizes it for good; inputs are padded up to the bucket. The cache
+//! needs no bound: a model's shape classes are its finite bucket grid
+//! (`|batch buckets| × |seq buckets|`), so it holds at most one variant
+//! per grid cell.
 
 use souffle_trace::Tracer;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
-
-/// Environment variable controlling the shape-bucketed kernel cache:
-/// `off`/`0`/`false` disables memoization (every lookup rebuilds).
-pub const SHAPE_CACHE_ENV: &str = "SOUFFLE_SHAPE_CACHE";
 
 /// Cache key for one compiled shape bucket: the structural signature of the
 /// symbolic program (from [`souffle_sched::program_signature`]) crossed with
@@ -59,8 +55,7 @@ struct Slot<V> {
     ready: Condvar,
 }
 
-/// Resident entries with their last-touch stamp for LRU eviction.
-type SlotMap<V> = HashMap<ShapeClass, (Arc<Slot<V>>, u64)>;
+type SlotMap<V> = HashMap<ShapeClass, Arc<Slot<V>>>;
 
 /// Held by the winner while it builds. If the build unwinds, dropping it
 /// removes the key and wakes the waiters, so a panicking build cannot
@@ -78,7 +73,7 @@ impl<V> Drop for AbandonOnUnwind<'_, V> {
         let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         if slots
             .get(self.key)
-            .is_some_and(|(s, _)| Arc::ptr_eq(s, self.slot))
+            .is_some_and(|s| Arc::ptr_eq(s, self.slot))
         {
             slots.remove(self.key);
         }
@@ -92,7 +87,8 @@ impl<V> Drop for AbandonOnUnwind<'_, V> {
     }
 }
 
-/// A lazy, thread-safe, optionally bounded cache of compiled shape buckets.
+/// A lazy, thread-safe memo of compiled shape buckets: each
+/// [`ShapeClass`] is built once and kept.
 ///
 /// Semantics the serve property suite pins:
 /// - **exactly-once compile**: concurrent lookups of a cold [`ShapeClass`]
@@ -101,47 +97,20 @@ impl<V> Drop for AbandonOnUnwind<'_, V> {
 /// - **counters**: every lookup bumps `shape_cache.hit` or
 ///   `shape_cache.miss` on the tracer; each build adds its wall time to
 ///   `shape_cache.compile_ms` and runs under a `compile:bucket:<label>`
-///   span. Evictions bump `shape_cache.evict`.
-/// - **eviction**: with a capacity, the least-recently-used *ready* entry
-///   is dropped when a new class is inserted past the limit; recompiling an
-///   evicted class must be bit-identical (the pipeline is deterministic).
-/// - **off switch**: constructed disabled (`SOUFFLE_SHAPE_CACHE=off`),
-///   every lookup is a miss that rebuilds — a semantics-free ablation.
+///   span.
 /// - **panicking builds**: the panic reaches the caller that ran `build`;
 ///   the class leaves the cache and blocked lookups retry, so the next
 ///   lookup builds it afresh.
 pub struct ShapeCache<V> {
     slots: Mutex<SlotMap<V>>,
-    clock: Mutex<u64>,
-    capacity: Option<usize>,
-    enabled: bool,
 }
 
 impl<V> ShapeCache<V> {
-    /// An unbounded cache honoring the `SOUFFLE_SHAPE_CACHE` override.
+    /// An empty cache.
     pub fn new() -> Self {
         ShapeCache {
             slots: Mutex::new(HashMap::new()),
-            clock: Mutex::new(0),
-            capacity: None,
-            enabled: souffle_te::env_flag(SHAPE_CACHE_ENV).unwrap_or(true),
         }
-    }
-
-    /// A cache with explicit memoization + capacity settings (capacity
-    /// `None` = unbounded).
-    pub fn with_settings(enabled: bool, capacity: Option<usize>) -> Self {
-        ShapeCache {
-            slots: Mutex::new(HashMap::new()),
-            clock: Mutex::new(0),
-            capacity,
-            enabled,
-        }
-    }
-
-    /// Whether memoization is on (off under `SOUFFLE_SHAPE_CACHE=off`).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Number of resident entries (ready or building).
@@ -154,30 +123,6 @@ impl<V> ShapeCache<V> {
         self.len() == 0
     }
 
-    /// Whether `key` is resident (ready or being built).
-    pub fn contains(&self, key: &ShapeClass) -> bool {
-        self.slots.lock().unwrap().contains_key(key)
-    }
-
-    /// Drops `key` if resident and ready; returns whether it was dropped.
-    pub fn evict(&self, key: &ShapeClass, tracer: &Tracer) -> bool {
-        let mut slots = self.slots.lock().unwrap();
-        let ready = slots
-            .get(key)
-            .is_some_and(|(slot, _)| matches!(*slot.state.lock().unwrap(), SlotState::Ready(_)));
-        if ready {
-            slots.remove(key);
-            tracer.add("shape_cache.evict", 1);
-        }
-        ready
-    }
-
-    fn tick(&self) -> u64 {
-        let mut c = self.clock.lock().unwrap();
-        *c += 1;
-        *c
-    }
-
     fn build_timed(key: &ShapeClass, tracer: &Tracer, build: impl FnOnce() -> V) -> V {
         let span = tracer.span(&format!("compile:bucket:{}", key.bucket_label()));
         let start = Instant::now();
@@ -188,23 +133,17 @@ impl<V> ShapeCache<V> {
     }
 
     /// Looks up `key`, compiling it with `build` on a miss. See the type
-    /// docs for the hit/miss/once-only/eviction contract.
+    /// docs for the hit/miss/once-only contract.
     pub fn get_or_build(
         &self,
         key: ShapeClass,
         tracer: &Tracer,
         build: impl FnOnce() -> V,
     ) -> Arc<V> {
-        if !self.enabled {
-            tracer.add("shape_cache.miss", 1);
-            return Arc::new(Self::build_timed(&key, tracer, build));
-        }
         let (slot, winner) = {
             let mut slots = self.slots.lock().unwrap();
-            let now = self.tick();
-            match slots.get_mut(&key) {
-                Some((slot, used)) => {
-                    *used = now;
+            match slots.get(&key) {
+                Some(slot) => {
                     tracer.add("shape_cache.hit", 1);
                     (Arc::clone(slot), false)
                 }
@@ -214,28 +153,7 @@ impl<V> ShapeCache<V> {
                         state: Mutex::new(SlotState::Building),
                         ready: Condvar::new(),
                     });
-                    slots.insert(key.clone(), (Arc::clone(&slot), now));
-                    if let Some(cap) = self.capacity {
-                        // Evict the least-recently-used ready entry (never
-                        // the one being built, never a building slot).
-                        while slots.len() > cap {
-                            let lru = slots
-                                .iter()
-                                .filter(|(k, (s, _))| {
-                                    **k != key
-                                        && matches!(*s.state.lock().unwrap(), SlotState::Ready(_))
-                                })
-                                .min_by_key(|(_, (_, used))| *used)
-                                .map(|(k, _)| k.clone());
-                            match lru {
-                                Some(k) => {
-                                    slots.remove(&k);
-                                    tracer.add("shape_cache.evict", 1);
-                                }
-                                None => break,
-                            }
-                        }
-                    }
+                    slots.insert(key.clone(), Arc::clone(&slot));
                     (slot, true)
                 }
             }
@@ -314,7 +232,7 @@ mod tests {
     #[test]
     fn cache_hits_after_first_miss_and_pins_counters() {
         let tracer = Tracer::new();
-        let cache: ShapeCache<i64> = ShapeCache::with_settings(true, None);
+        let cache: ShapeCache<i64> = ShapeCache::new();
         let mut builds = 0;
         for _ in 0..3 {
             let v = cache.get_or_build(key(7, &[4, 64]), &tracer, || {
@@ -333,7 +251,7 @@ mod tests {
     #[test]
     fn distinct_shape_classes_compile_separately() {
         let tracer = Tracer::new();
-        let cache: ShapeCache<Vec<i64>> = ShapeCache::with_settings(true, None);
+        let cache: ShapeCache<Vec<i64>> = ShapeCache::new();
         let a = cache.get_or_build(key(1, &[8]), &tracer, || vec![8]);
         let b = cache.get_or_build(key(1, &[16]), &tracer, || vec![16]);
         let c = cache.get_or_build(key(2, &[8]), &tracer, || vec![88]);
@@ -344,46 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_rebuilds_every_lookup() {
-        let tracer = Tracer::new();
-        let cache: ShapeCache<i64> = ShapeCache::with_settings(false, None);
-        let mut builds = 0;
-        for _ in 0..3 {
-            let _ = cache.get_or_build(key(7, &[4]), &tracer, || {
-                builds += 1;
-                1
-            });
-        }
-        assert_eq!(builds, 3);
-        assert_eq!(tracer.snapshot().counters.get("shape_cache.miss"), Some(&3));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn lru_eviction_drops_the_coldest_ready_entry() {
-        let tracer = Tracer::new();
-        let cache: ShapeCache<i64> = ShapeCache::with_settings(true, Some(2));
-        let _ = cache.get_or_build(key(1, &[1]), &tracer, || 1);
-        let _ = cache.get_or_build(key(1, &[2]), &tracer, || 2);
-        // Touch [1] so [2] becomes the LRU, then overflow.
-        let _ = cache.get_or_build(key(1, &[1]), &tracer, || unreachable!());
-        let _ = cache.get_or_build(key(1, &[4]), &tracer, || 4);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.contains(&key(1, &[1])));
-        assert!(!cache.contains(&key(1, &[2])));
-        assert_eq!(
-            tracer.snapshot().counters.get("shape_cache.evict"),
-            Some(&1)
-        );
-        // A recompile of the evicted class is a fresh miss.
-        let again = cache.get_or_build(key(1, &[2]), &tracer, || 2);
-        assert_eq!(*again, 2);
-    }
-
-    #[test]
     fn panicking_build_leaves_the_class_buildable() {
         let tracer = Tracer::new();
-        let cache: Arc<ShapeCache<i64>> = Arc::new(ShapeCache::with_settings(true, None));
+        let cache: Arc<ShapeCache<i64>> = Arc::new(ShapeCache::new());
         let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.get_or_build(key(3, &[8]), &tracer, || panic!("build failed"))
         }));
@@ -411,7 +292,7 @@ mod tests {
     fn concurrent_cold_lookups_compile_exactly_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let tracer = Tracer::new();
-        let cache: Arc<ShapeCache<u64>> = Arc::new(ShapeCache::with_settings(true, None));
+        let cache: Arc<ShapeCache<u64>> = Arc::new(ShapeCache::new());
         let builds = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|scope| {
             for _ in 0..8 {

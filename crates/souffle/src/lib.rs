@@ -48,7 +48,7 @@ mod options;
 mod pipeline;
 pub mod report;
 
-pub use dynamic::{ShapeCache, ShapeClass, SHAPE_CACHE_ENV};
+pub use dynamic::{ShapeCache, ShapeClass};
 pub use options::SouffleOptions;
 pub use pipeline::{CompileStats, Compiled, GraphCompiled, GraphPart, Souffle};
 

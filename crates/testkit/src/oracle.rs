@@ -729,8 +729,7 @@ pub fn check_shape_bucket(program: &TeProgram, seed: u64) -> Result<(), OracleEr
         })?;
     let buckets = bucket_boundaries(1, max_batch as i64);
     let tracer = Tracer::new();
-    let cache: ShapeCache<(TeProgram, souffle_te::CompiledProgram)> =
-        ShapeCache::with_settings(true, None);
+    let cache: ShapeCache<(TeProgram, souffle_te::CompiledProgram)> = ShapeCache::new();
     let sig = program_signature(program);
     let key_for = |n: usize| {
         let bucket = *buckets

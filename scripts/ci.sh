@@ -42,27 +42,30 @@ cargo test -q --offline --test trace_golden --test trace_properties
 cargo test -q --offline -p souffle --test cli_trace
 
 # Serving gate: batcher virtual-clock determinism + queue/backpressure
-# properties, the server-vs-eval_reference batch-invariance differential
-# (all six models × buckets 1/2/4/8), and a bench_serve smoke run that
-# validates the souffle-bench-serve/2 schema on a temp file (hermetic:
-# no timing assertions, results/ untouched).
-echo "== serving suites + bench_serve --smoke =="
+# properties and the server-vs-eval_reference batch-invariance
+# differential (all six models × buckets 1/2/4/8).
+echo "== serving suites =="
 cargo test -q --offline -p souffle-serve
 cargo test -q --offline --test serve_differential
-cargo run -q --release --offline -p souffle-bench --bin bench_serve -- --smoke
+
+# Benchmark gate: perfbench's self-check runs every workload (compile-zoo,
+# infer-bert, serve-bert) for 2 s traced and untraced, checks every
+# output bit-exactly against the interpreter and validates every printed
+# metric against BENCHMARK.json (read from the repository root). No
+# timing is asserted. --locked fails if a change would make the benchmark
+# rewrite perfbench/Cargo.lock. Its release build has its own target
+# directory, because perfbench is a workspace of its own.
+echo "== perfbench --self-check =="
+CARGO_TARGET_DIR=target/perfbench cargo run -q --locked --release --offline \
+  --manifest-path perfbench/Cargo.toml -- --self-check
 
 # Dynamic-shape gate: the cross-shape differential (BERT/LSTM symbolic
-# seq served bit-exactly at every length 1..=max; all six models through
-# the symbolic-batch oracle; per-model padding regression) and the
-# parametric-verifier mutation suite, then both serving suites again with
-# the shape cache pinned off and on — responses must be bit-identical
-# whether variants are cached or rebuilt per batch.
-echo "== dynamic shapes (SOUFFLE_SHAPE_CACHE=off/on) =="
+# seq served bit-exactly at every length 1..=max, one compiled variant
+# per used bucket; all six models through the symbolic-batch oracle;
+# per-model padding regression) and the parametric-verifier mutation
+# suite.
+echo "== dynamic shapes =="
 cargo test -q --offline --test dynamic_shape_differential --test verify_mutations
-SOUFFLE_SHAPE_CACHE=off cargo test -q --offline \
-  --test dynamic_shape_differential --test serve_differential
-SOUFFLE_SHAPE_CACHE=on cargo test -q --offline \
-  --test dynamic_shape_differential --test serve_differential
 
 # Re-run the evaluator-facing suites with a pinned 2-stream wavefront pool:
 # results must be bit-identical under any SOUFFLE_EVAL_THREADS, and this

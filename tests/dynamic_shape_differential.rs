@@ -47,7 +47,6 @@ fn serve_options(max_batch: usize) -> ServeOptions {
         batch_deadline_ns: 3_600_000_000_000,
         workers: 1,
         buckets: vec![1, 2, 4, 8],
-        shape_cache_capacity: None,
     }
 }
 
@@ -189,16 +188,13 @@ fn seq_models_serve_every_length_bit_exactly() {
         }
 
         // One compiled variant per sequence bucket actually used — no
-        // per-request recompiles. (With SOUFFLE_SHAPE_CACHE=off nothing is
-        // retained; the bit-exactness sweep above is the contract then.)
-        if souffle::te::env_flag(souffle::SHAPE_CACHE_ENV).unwrap_or(true) {
-            let used: usize = seq_buckets.iter().filter(|&&b| b <= max).count();
-            assert_eq!(
-                server.cached_variants("m"),
-                Some(used),
-                "{model}: exactly one variant per used (batch, seq) bucket"
-            );
-        }
+        // per-request recompiles.
+        let used: usize = seq_buckets.iter().filter(|&&b| b <= max).count();
+        assert_eq!(
+            server.cached_variants("m"),
+            Some(used),
+            "{model}: exactly one variant per used (batch, seq) bucket"
+        );
         server.shutdown();
     }
 }

@@ -64,7 +64,6 @@ fn batched_serving_matches_eval_reference_on_all_models_and_buckets() {
                 batch_deadline_ns: 3_600_000_000_000,
                 workers: 1,
                 buckets: vec![1, 2, 4, 8],
-                shape_cache_capacity: None,
             })
             .register("m", &program, weights.clone())
             .start();
@@ -131,7 +130,6 @@ fn deadline_flushed_underfull_batch_pads_and_stays_bit_exact() {
         batch_deadline_ns: 50_000_000, // 50 ms: fires well after the 3 pushes
         workers: 1,
         buckets: vec![1, 2, 4, 8],
-        shape_cache_capacity: None,
     })
     .register("lstm", &program, weights.clone())
     .start();
