@@ -8,9 +8,8 @@
 //! rebuilds the program with every symbolic extent substituted.
 //!
 //! Extent arithmetic over symbolic dims uses [`DimPoly`], an integer
-//! polynomial in the declared symbols; the transform crate prices bytes moved
-//! as such polynomials and the verifier proves bounds parametrically from the
-//! per-axis [`Dim`] annotations.
+//! polynomial in the declared symbols; the verifier proves bounds
+//! parametrically from the per-axis [`Dim`] annotations.
 
 use crate::program::TeProgram;
 use crate::te::TensorExpr;
@@ -204,8 +203,7 @@ impl fmt::Display for Dim {
 }
 
 /// Integer polynomial over symbolic dims, normalized as a sorted sum of
-/// monomials (`coeff * s_i * s_j * ...`). Closed under `+` and `*`, which is
-/// all the traffic model needs: bytes moved are products of axis extents.
+/// monomials (`coeff * s_i * s_j * ...`). Closed under `+` and `*`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DimPoly {
     /// Sorted `(monomial, coeff)` pairs; monomials are sorted sym indices
@@ -597,7 +595,7 @@ fn diff_probe(
 #[derive(Clone)]
 pub enum DynSource {
     /// Shape-only template: one lowering, extents substituted per binding.
-    /// Verifiable parametrically and priceable as [`DimPoly`]s.
+    /// Verifiable parametrically.
     Template(DynProgram),
     /// Structural generator (e.g. an unrolled LSTM whose TE count tracks the
     /// dim). Re-lowered per binding; verified per bucket.

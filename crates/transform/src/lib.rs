@@ -32,7 +32,6 @@
 pub mod batch;
 pub mod horizontal;
 pub mod reduction;
-pub mod sym_traffic;
 pub mod traffic;
 pub mod vertical;
 
@@ -46,7 +45,6 @@ pub use reduction::{
     reduction_fuse_program, reduction_fuse_program_logged, FusionStats, REDUCTION_FUSION_ENV,
 };
 pub use rewrite::TransformStats;
-pub use sym_traffic::{program_bytes_poly, te_bytes_poly, SymTraffic};
 pub use traffic::{program_traffic, te_traffic, Traffic};
 pub use vertical::{vertical_fuse_program, vertical_fuse_program_logged};
 
