@@ -146,21 +146,18 @@ fn bench_evaluators(b: &mut Bench) -> EvaluatorSummary {
 
     let rt_1t = Runtime::with_options(RuntimeOptions {
         threads: Some(1),
-        arena: true,
         max_parallelism: Some(1),
         kernel_tier: Some(true),
         ..RuntimeOptions::default()
     });
     let rt_1t_nok = Runtime::with_options(RuntimeOptions {
         threads: Some(1),
-        arena: true,
         max_parallelism: Some(1),
         kernel_tier: Some(false),
         ..RuntimeOptions::default()
     });
     let rt_1t_fast = Runtime::with_options(RuntimeOptions {
         threads: Some(1),
-        arena: true,
         max_parallelism: Some(1),
         kernel_tier: Some(true),
         fast_math: true,
@@ -168,7 +165,6 @@ fn bench_evaluators(b: &mut Bench) -> EvaluatorSummary {
     let mt_threads = thread_count().max(2);
     let rt_mt = Runtime::with_options(RuntimeOptions {
         threads: Some(mt_threads),
-        arena: true,
         max_parallelism: None, // adapt: inline when the machine can't help
         kernel_tier: Some(true),
         ..RuntimeOptions::default()
@@ -239,14 +235,12 @@ struct ModelEval {
 fn bench_model_evaluators(b: &mut Bench) -> Vec<ModelEval> {
     let rt_1t = Runtime::with_options(RuntimeOptions {
         threads: Some(1),
-        arena: true,
         max_parallelism: Some(1),
         kernel_tier: Some(true),
         ..RuntimeOptions::default()
     });
     let rt_1t_nok = Runtime::with_options(RuntimeOptions {
         threads: Some(1),
-        arena: true,
         max_parallelism: Some(1),
         kernel_tier: Some(false),
         ..RuntimeOptions::default()
@@ -314,7 +308,6 @@ struct FusionRow {
 fn bench_reduction_fusion(b: &mut Bench) -> Vec<FusionRow> {
     let rt = Runtime::with_options(RuntimeOptions {
         threads: Some(1),
-        arena: true,
         max_parallelism: Some(1),
         kernel_tier: Some(true),
         ..RuntimeOptions::default()
@@ -394,7 +387,6 @@ struct BaselineRow {
 fn bench_baselines(b: &mut Bench) -> Vec<BaselineRow> {
     let rt = Runtime::with_options(RuntimeOptions {
         threads: Some(1),
-        arena: true,
         max_parallelism: Some(1),
         kernel_tier: Some(true),
         ..RuntimeOptions::default()
@@ -486,7 +478,6 @@ fn bench_tracing(b: &mut Bench) -> TracingSummary {
     let plan = ExecPlan::from_compiled(&compiled);
     let rt = Runtime::with_options(RuntimeOptions {
         threads: Some(thread_count().max(2)),
-        arena: true,
         max_parallelism: None, // adapt: inline when the machine can't help
         ..RuntimeOptions::default()
     });

@@ -1,7 +1,6 @@
 //! Pipeline configuration, including the ablation points of Table 4.
 
 use souffle_sched::GpuSpec;
-use souffle_te::Evaluator;
 
 /// Which optimization stages run — the knobs of the paper's ablation
 /// study (§8.2): V0 is plain TVM+Ansor codegen; each step adds one
@@ -34,18 +33,11 @@ pub struct SouffleOptions {
     /// (each block caches its tile); the design-ablation bench sweeps
     /// this.
     pub reuse_cache_bytes: Option<u64>,
-    /// Which reference evaluator [`crate::Souffle::eval_reference`] runs
-    /// the (transformed) TE program with: the naive interpreter (ground
-    /// truth) or the compiled bytecode VM (bit-identical, much faster).
-    pub evaluator: Evaluator,
     /// Execution streams for the compiled evaluator's wavefront runtime
     /// (pool workers + calling thread). `None` resolves via
     /// `SOUFFLE_EVAL_THREADS`, else the machine parallelism. Results are
     /// bit-identical for every value.
     pub eval_threads: Option<usize>,
-    /// Recycle intermediate tensor buffers through the runtime's arena
-    /// across TEs and across repeated `eval_reference` calls.
-    pub eval_arena: bool,
     /// Kernel-tier mode for the compiled evaluator: `Some(true)` forces
     /// the monomorphized native kernels, `Some(false)` forces pure
     /// bytecode, `None` resolves via `SOUFFLE_KERNEL_TIER` (on when
@@ -89,9 +81,7 @@ impl SouffleOptions {
             global_sync: false,
             subprogram_opts: false,
             reuse_cache_bytes: None,
-            evaluator: Evaluator::default(),
             eval_threads: None,
-            eval_arena: true,
             kernel_tier: None,
             fast_math: false,
             verify: cfg!(debug_assertions),

@@ -6,11 +6,10 @@ use souffle_baselines::{AnsorStrategy, Strategy, StrategyContext};
 use souffle_gpusim::{simulate, ModelProfile, SimConfig};
 use souffle_kernel::passes::{pipeline_pass, tensor_reuse_pass, PipelineStats, ReuseStats};
 use souffle_kernel::{lower_partition, Kernel, LowerOptions};
-use souffle_te::interp::{eval_program, EvalError};
+use souffle_te::interp::EvalError;
 use souffle_te::RewriteLog;
 use souffle_te::{
-    compile_program, CompiledProgram, Evaluator, ExecPlan, Runtime, RuntimeOptions, TeProgram,
-    TensorId,
+    compile_program, CompiledProgram, ExecPlan, Runtime, RuntimeOptions, TeProgram, TensorId,
 };
 use souffle_tensor::Tensor;
 use souffle_trace::{SpanId, Tracer};
@@ -218,13 +217,12 @@ impl Souffle {
     }
 
     /// The evaluation runtime, created on first use from
-    /// [`SouffleOptions::eval_threads`] / [`SouffleOptions::eval_arena`]
-    /// and then persistent for the lifetime of this compiler.
+    /// [`SouffleOptions::eval_threads`] and then persistent for the
+    /// lifetime of this compiler.
     pub fn runtime(&self) -> &Runtime {
         self.runtime.get_or_init(|| {
             Runtime::with_options(RuntimeOptions {
                 threads: self.options.eval_threads,
-                arena: self.options.eval_arena,
                 // An explicit thread request pins the cap (tests exercise
                 // pools on narrow machines); the default adapts to the
                 // machine and falls back to inline execution.
@@ -596,10 +594,12 @@ impl Souffle {
     }
 
     /// Numerically evaluates the compiled (transformed) TE program on
-    /// `bindings` with the evaluator selected in the options — the naive
-    /// interpreter for inspectable ground truth, or the compiled bytecode
-    /// VM for speed. This is the reference semantics of the generated
-    /// kernels: what the lowered code must compute.
+    /// `bindings` with the compiled bytecode VM on this compiler's
+    /// runtime, returning every tensor, intermediates included. This is
+    /// the reference semantics of the generated kernels: what the lowered
+    /// code must compute. The VM is bit-identical to the naive
+    /// interpreter (`souffle_te::interp::eval_program`), which stays the
+    /// inspectable ground truth.
     ///
     /// # Errors
     ///
@@ -610,26 +610,21 @@ impl Souffle {
         compiled: &Compiled,
         bindings: &HashMap<TensorId, Tensor>,
     ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
-        match self.options.evaluator {
-            Evaluator::Naive => eval_program(&compiled.program, bindings),
-            Evaluator::Compiled => {
-                let cp = compile_program(&compiled.program);
-                let plan = Self::exec_plan(compiled, &cp);
-                if self.tracer.is_enabled() {
-                    let result = self.runtime().eval_keeping_intermediates_with_plan_traced(
-                        &cp,
-                        &plan,
-                        bindings,
-                        &self.tracer,
-                        None,
-                    );
-                    self.record_runtime_counters();
-                    result
-                } else {
-                    self.runtime()
-                        .eval_keeping_intermediates_with_plan(&cp, &plan, bindings)
-                }
-            }
+        let cp = compile_program(&compiled.program);
+        let plan = Self::exec_plan(compiled, &cp);
+        if self.tracer.is_enabled() {
+            let result = self.runtime().eval_keeping_intermediates_with_plan_traced(
+                &cp,
+                &plan,
+                bindings,
+                &self.tracer,
+                None,
+            );
+            self.record_runtime_counters();
+            result
+        } else {
+            self.runtime()
+                .eval_keeping_intermediates_with_plan(&cp, &plan, bindings)
         }
     }
 
@@ -918,17 +913,12 @@ mod tests {
 
     #[test]
     fn eval_reference_agrees_across_evaluators() {
-        use souffle_te::interp::random_bindings;
+        use souffle_te::interp::{eval_program, random_bindings};
         let p = fig2_program();
         let bindings = random_bindings(&p, 7);
-        let naive = Souffle::new(SouffleOptions {
-            evaluator: souffle_te::Evaluator::Naive,
-            ..SouffleOptions::full()
-        });
         let fast = Souffle::new(SouffleOptions::full());
-        let cn = naive.compile(&p);
         let cf = fast.compile(&p);
-        let want = naive.eval_reference(&cn, &bindings).unwrap();
+        let want = eval_program(&cf.program, &bindings).unwrap();
         let got = fast.eval_reference(&cf, &bindings).unwrap();
         for id in p.outputs() {
             let (w, g) = (&want[&id], &got[&id]);
@@ -941,22 +931,16 @@ mod tests {
 
     #[test]
     fn pooled_eval_reference_is_bit_identical_and_reuses_buffers() {
-        use souffle_te::interp::random_bindings;
+        use souffle_te::interp::{eval_program, random_bindings};
         let p = fig2_program();
         let bindings = random_bindings(&p, 21);
-        let naive = Souffle::new(SouffleOptions {
-            evaluator: souffle_te::Evaluator::Naive,
-            ..SouffleOptions::full()
-        });
         let pooled = Souffle::new(SouffleOptions {
             eval_threads: Some(2),
-            eval_arena: true,
             ..SouffleOptions::full()
         });
         assert_eq!(pooled.runtime().threads(), 2);
-        let cn = naive.compile(&p);
         let cf = pooled.compile(&p);
-        let want = naive.eval_reference(&cn, &bindings).unwrap();
+        let want = eval_program(&cf.program, &bindings).unwrap();
         // Repeated evals through one Souffle instance recycle the arena;
         // results must stay bit-identical every time.
         for round in 0..5 {

@@ -19,7 +19,7 @@
 //! `run_chunk` code as the serial path, writing disjoint slices; element
 //! values never depend on which worker computes them or on buffer
 //! provenance (each element is written exactly once before any read). So
-//! results are bit-identical across pool sizes, arena on/off, and the
+//! results are bit-identical across pool sizes, recycled buffers, and the
 //! naive interpreter — the `runtime_determinism` suite and the testkit
 //! `CrossEvaluator` oracle stage enforce this.
 //!
@@ -209,15 +209,14 @@ fn last_consumer_map(cp: &CompiledProgram) -> Vec<Option<usize>> {
     last
 }
 
-/// Configuration for a [`Runtime`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Configuration for a [`Runtime`]. The default resolves every field
+/// from the machine and the environment, with fast math off.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeOptions {
     /// Execution streams (workers + the calling thread). `None` resolves
     /// via [`thread_count`] (`SOUFFLE_EVAL_THREADS`, else machine
     /// parallelism).
     pub threads: Option<usize>,
-    /// Recycle intermediate buffers through the [`BufferArena`].
-    pub arena: bool,
     /// Upper bound on the execution streams an `eval` actually uses.
     /// `None` caps at the machine's detected parallelism (or an explicit
     /// `SOUFFLE_EVAL_THREADS`, whichever is larger) — so an over-sized
@@ -237,18 +236,6 @@ pub struct RuntimeOptions {
     /// (multi-lane partial accumulators). Changes float results; off by
     /// default and excluded from every bit-identity oracle.
     pub fast_math: bool,
-}
-
-impl Default for RuntimeOptions {
-    fn default() -> Self {
-        RuntimeOptions {
-            threads: None,
-            arena: true,
-            max_parallelism: None,
-            kernel_tier: None,
-            fast_math: false,
-        }
-    }
 }
 
 /// Combined runtime counters: arena reuse/allocation/high-water plus pool
@@ -281,7 +268,6 @@ pub struct Runtime {
     /// may exist yet stay idle when `slots` caps execution to one stream.
     pool: Option<ThreadPool>,
     arena: Mutex<BufferArena>,
-    arena_enabled: bool,
     /// [`RuntimeOptions::kernel_tier`], resolved per eval (the env
     /// fallback is re-read so CI can sweep `SOUFFLE_KERNEL_TIER`).
     kernel_tier: Option<bool>,
@@ -302,12 +288,12 @@ impl Default for Runtime {
 }
 
 impl Runtime {
-    /// Runtime with default options (machine thread count, arena on).
+    /// Runtime with default options (machine thread count).
     pub fn new() -> Runtime {
         Runtime::with_options(RuntimeOptions::default())
     }
 
-    /// Runtime with exactly `threads` execution streams and the arena on.
+    /// Runtime with exactly `threads` execution streams.
     /// The parallelism cap is pinned to `threads`, so the pool is
     /// exercised even on machines with fewer cores (the historical
     /// behavior every pool test relies on).
@@ -331,7 +317,6 @@ impl Runtime {
             slots,
             pool: (threads > 1).then(|| ThreadPool::new(threads - 1)),
             arena: Mutex::new(BufferArena::new()),
-            arena_enabled: opts.arena,
             kernel_tier: opts.kernel_tier,
             fast_math: opts.fast_math,
             kernel_stats: Mutex::new(KernelStats::default()),
@@ -362,11 +347,6 @@ impl Runtime {
             self.threads.min(self.slots)
         }
         .max(1)
-    }
-
-    /// Whether intermediate buffers are recycled across TEs and calls.
-    pub fn arena_enabled(&self) -> bool {
-        self.arena_enabled
     }
 
     /// Whether the next `eval` dispatches to the specialized kernel tier:
@@ -583,7 +563,6 @@ impl Runtime {
             slots[id.0] = Slot::Bound(t);
         }
         let threads = self.effective_streams();
-        let recycle = self.arena_enabled && !keep_all;
         let exec = self.exec_opts();
 
         // Tracing: the coordinator records every span (eval → level:<k> →
@@ -616,11 +595,7 @@ impl Runtime {
                 for &ti in tes {
                     let te = &cp.tes[ti];
                     let n = te.out_shape.numel() as usize;
-                    let buf = if self.arena_enabled {
-                        self.arena.lock().expect("arena lock poisoned").take(n)
-                    } else {
-                        vec![0.0f32; n]
-                    };
+                    let buf = self.arena.lock().expect("arena lock poisoned").take(n);
                     let operands: Vec<&[f32]> = te
                         .inputs
                         .iter()
@@ -700,7 +675,7 @@ impl Runtime {
                 // Discard this level (recycling its buffers and everything
                 // computed so far) and re-run serially in definition order
                 // so the reported error is exactly the interpreter's.
-                if self.arena_enabled {
+                {
                     let mut arena = self.arena.lock().expect("arena lock poisoned");
                     for (_, buf) in produced {
                         arena.give(buf);
@@ -756,7 +731,7 @@ impl Runtime {
             for (ti, buf) in produced {
                 slots[cp.tes[ti].output.0] = Slot::Owned(buf);
             }
-            if recycle {
+            if !keep_all {
                 let mut arena = self.arena.lock().expect("arena lock poisoned");
                 for &t in &plan.free_after[lvl] {
                     if let Slot::Owned(v) = std::mem::replace(&mut slots[t], Slot::Empty) {
@@ -776,7 +751,7 @@ impl Runtime {
                             TensorId(i),
                             Tensor::from_parts(info.shape.clone(), info.dtype, v),
                         );
-                    } else if self.arena_enabled {
+                    } else {
                         self.arena.lock().expect("arena lock poisoned").give(v);
                     }
                 }
@@ -867,8 +842,8 @@ fn eval_serial(
 }
 
 /// The process-global runtime backing [`CompiledProgram::eval`]: pool
-/// sized once from [`thread_count`] at first use, arena enabled, and the
-/// effective parallelism re-follows `SOUFFLE_EVAL_THREADS` per call.
+/// sized once from [`thread_count`] at first use, and the effective
+/// parallelism re-follows `SOUFFLE_EVAL_THREADS` per call.
 pub fn global() -> &'static Runtime {
     static GLOBAL: OnceLock<Runtime> = OnceLock::new();
     GLOBAL.get_or_init(|| {

@@ -651,7 +651,6 @@ fn pooled_runtime() -> &'static Runtime {
     POOLED.get_or_init(|| {
         Runtime::with_options(RuntimeOptions {
             threads: Some(4),
-            arena: true,
             max_parallelism: Some(4),
             ..RuntimeOptions::default()
         })
@@ -671,7 +670,6 @@ fn tier_runtime(kernels: bool) -> &'static Runtime {
     cell.get_or_init(|| {
         Runtime::with_options(RuntimeOptions {
             threads: Some(2),
-            arena: true,
             max_parallelism: Some(2),
             kernel_tier: Some(kernels),
             ..RuntimeOptions::default()

@@ -37,28 +37,27 @@ use souffle_testkit::oracle::{check_stage, Stage, Tolerance};
 use souffle_testkit::teprog::gen_spec;
 use souffle_testkit::{forall, Config};
 
-/// One persistent runtime per (pool size, arena, kernel-tier mode) point:
+/// One persistent runtime per (pool size, kernel-tier mode) point:
 /// the tier forced on and off at both pool widths, plus an auto-mode
 /// runtime (resolves `SOUFFLE_KERNEL_TIER`, on by default — this is the
 /// configuration `ci.sh` sweeps with the environment set both ways).
 fn runtimes() -> &'static [(&'static str, Runtime)] {
     static CELL: OnceLock<Vec<(&'static str, Runtime)>> = OnceLock::new();
     CELL.get_or_init(|| {
-        let rt = |threads: usize, arena: bool, kernel_tier: Option<bool>| {
+        let rt = |threads: usize, kernel_tier: Option<bool>| {
             Runtime::with_options(RuntimeOptions {
                 threads: Some(threads),
-                arena,
                 max_parallelism: Some(threads),
                 kernel_tier,
                 ..RuntimeOptions::default()
             })
         };
         vec![
-            ("1 stream, kernels on", rt(1, true, Some(true))),
-            ("1 stream, kernels off", rt(1, true, Some(false))),
-            ("3 streams, kernels on", rt(3, true, Some(true))),
-            ("3 streams, kernels off", rt(3, false, Some(false))),
-            ("2 streams, kernels auto", rt(2, true, None)),
+            ("1 stream, kernels on", rt(1, Some(true))),
+            ("1 stream, kernels off", rt(1, Some(false))),
+            ("3 streams, kernels on", rt(3, Some(true))),
+            ("3 streams, kernels off", rt(3, Some(false))),
+            ("2 streams, kernels auto", rt(2, None)),
         ]
     })
 }
@@ -445,7 +444,6 @@ fn fast_math_is_close_but_relaxed() {
 
     let rt_fast = Runtime::with_options(RuntimeOptions {
         threads: Some(1),
-        arena: true,
         max_parallelism: Some(1),
         kernel_tier: Some(true),
         fast_math: true,

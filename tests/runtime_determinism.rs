@@ -1,7 +1,7 @@
 //! Determinism of the wavefront-parallel runtime.
 //!
 //! The pooled evaluator must be a pure performance feature: for any
-//! program, any pool size, and any arena setting, its results are
+//! program, any pool size, and any state of its buffer arena, its results are
 //! bit-identical to the naive tree-walking interpreter (and hence to the
 //! single-threaded compiled path, which the `evaluator_equivalence` suite
 //! already pins to the interpreter). This suite drives that contract over
@@ -24,23 +24,21 @@ use souffle_tensor::{DType, Shape};
 use souffle_testkit::teprog::gen_spec;
 use souffle_testkit::{forall, Config};
 
-/// One persistent runtime per (pool size, arena) point under test.
+/// One persistent runtime per pool size under test.
 fn runtimes() -> &'static [(&'static str, Runtime)] {
     static CELL: OnceLock<Vec<(&'static str, Runtime)>> = OnceLock::new();
     CELL.get_or_init(|| {
-        let rt = |threads, arena| {
+        let rt = |threads| {
             Runtime::with_options(RuntimeOptions {
                 threads: Some(threads),
-                arena,
                 max_parallelism: Some(threads),
                 ..RuntimeOptions::default()
             })
         };
         vec![
-            ("1 stream + arena", rt(1, true)),
-            ("2 streams + arena", rt(2, true)),
-            ("8 streams + arena", rt(8, true)),
-            ("8 streams, no arena", rt(8, false)),
+            ("1 stream + arena", rt(1)),
+            ("2 streams + arena", rt(2)),
+            ("8 streams + arena", rt(8)),
         ]
     })
 }
@@ -201,7 +199,6 @@ fn repeated_evals_on_recycled_buffers_are_stable() {
 
     let rt = Runtime::with_options(RuntimeOptions {
         threads: Some(4),
-        arena: true,
         max_parallelism: Some(4),
         ..RuntimeOptions::default()
     });

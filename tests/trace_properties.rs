@@ -25,18 +25,17 @@ use std::sync::OnceLock;
 fn runtimes() -> &'static [(&'static str, Runtime)] {
     static CELL: OnceLock<Vec<(&'static str, Runtime)>> = OnceLock::new();
     CELL.get_or_init(|| {
-        let rt = |threads, arena| {
+        let rt = |threads| {
             Runtime::with_options(RuntimeOptions {
                 threads: Some(threads),
-                arena,
                 max_parallelism: Some(threads),
                 ..RuntimeOptions::default()
             })
         };
         vec![
-            ("1 stream", rt(1, true)),
-            ("2 streams", rt(2, true)),
-            ("8 streams", rt(8, false)),
+            ("1 stream", rt(1)),
+            ("2 streams", rt(2)),
+            ("8 streams", rt(8)),
         ]
     })
 }
