@@ -29,7 +29,7 @@ use souffle_frontend::models::bert::BertConfig;
 use souffle_frontend::{build_model, Model, ModelConfig};
 use souffle_te::interp::{eval_program, random_bindings};
 use souffle_te::{
-    builders, compile_program, BinaryOp, CmpOp, Cond, FallbackReason, ReduceOp, Runtime,
+    builders, compile_program, BinaryOp, CmpOp, Cond, ExecPlan, FallbackReason, ReduceOp, Runtime,
     RuntimeOptions, ScalarExpr, TeProgram, TensorId,
 };
 use souffle_tensor::{DType, Shape, Tensor};
@@ -169,23 +169,63 @@ fn kernel_tier_oracle_stage_passes_on_kernel_rich_program() {
     }
 }
 
-/// Chunk boundaries land mid-row: a 3-stream pool over a 7×13 output
-/// (91 elements, indivisible by any row multiple) forces every row-based
-/// kernel to start and stop segments inside rows, resuming the affine
-/// odometer across chunk edges. Odd prime-ish shapes also leave `TILE`-
-/// and `FAST_LANES`-sized remainders everywhere.
+/// Chunk boundaries land mid-row, so `row_dot` and `ew_tile` resume
+/// their segments inside rows and `slice_reduce` splits between rows.
+/// `runtime::chunk_len` cuts a TE only when its output points ×
+/// reduction points reach `SERIAL_THRESHOLD` (8192), so every TE of this
+/// chain is sized past it. A 3-stream pool aims for 12 chunks per TE;
+/// output rows are 131 wide:
+/// - `mm` (67 × 131 = 8777 outputs × 29 products): chunk
+///   max(⌈8777 / 12⌉, ⌊8192 / 29⌋) = max(732, 282) = 732, so 12 chunks;
+///   732 = 5 · 131 + 77, so every chunk edge falls inside a row.
+/// - `bias_add`, `act`, `sm.exp`, `sm.div` (8777 outputs × 1): chunk
+///   max(732, 8192) = 8192, so 2 chunks; 8192 = 62 · 131 + 70, so the
+///   edge falls inside row 62.
+/// - `sm.max`, `sm.sum` (67 rows × 131): chunk max(⌈67 / 12⌉,
+///   ⌊8192 / 131⌋) = max(6, 62) = 62, so 2 chunks of 62 and 5 rows.
+///
+/// The program is a chain, one TE per plan level, and a level spawns pool
+/// tasks only when its TE has at least 2 chunks: one evaluation spawns
+/// 12 + 6 · 2 = 24 tasks, which the test checks on a runtime of its own
+/// (the shared ones run concurrently with other tests, so their counters
+/// mix). Odd prime-ish shapes also leave `TILE`- and `FAST_LANES`-sized
+/// remainders everywhere.
 #[test]
 fn mid_row_chunk_boundaries_stay_bit_identical() {
     let mut p = TeProgram::new();
-    let a = p.add_input("A", Shape::new(vec![7, 29]), DType::F32);
-    let b = p.add_weight("B", Shape::new(vec![29, 13]), DType::F32);
-    let bias = p.add_weight("bias", Shape::new(vec![13]), DType::F32);
+    let a = p.add_input("A", Shape::new(vec![67, 29]), DType::F32);
+    let b = p.add_weight("B", Shape::new(vec![29, 131]), DType::F32);
+    let bias = p.add_weight("bias", Shape::new(vec![131]), DType::F32);
     let mm = builders::matmul(&mut p, "mm", a, b);
     let biased = builders::bias_add(&mut p, "bias_add", mm, bias);
     let act = builders::relu(&mut p, "act", biased);
     let sm = builders::softmax(&mut p, "sm", act);
     p.mark_output(sm);
     p.validate().unwrap();
+
+    let cp = compile_program(&p);
+    let kernels: Vec<&str> = cp.tes().iter().map(|te| te.kernel()).collect();
+    assert_eq!(
+        kernels,
+        [
+            "row_dot",
+            "ew_tile",
+            "ew_tile",
+            "slice_reduce",
+            "ew_tile",
+            "slice_reduce",
+            "ew_tile"
+        ]
+    );
+    assert_eq!(ExecPlan::from_compiled(&cp).num_levels(), 7, "a chain");
+    let rt = Runtime::with_threads(3);
+    rt.eval(&cp, &random_bindings(&p, 5)).unwrap();
+    assert_eq!(
+        rt.take_stats().pool.tasks,
+        24,
+        "every TE is cut into chunks"
+    );
+
     for seed in [5, 17, 4242] {
         assert_tier_matches_interpreter(&p, seed).unwrap();
     }
