@@ -18,11 +18,12 @@
 //!   [`souffle_te::sym::DynSpec`] — is compiled per
 //!   [`souffle::ShapeClass`] (structural signature × `(batch, seq)`
 //!   bucket vector) on first miss in a [`souffle::ShapeCache`], then
-//!   kept: one variant per bucket pair at most. A batch of `n` requests at mixed sequence lengths runs
-//!   on the smallest covering bucket with padded slots (mask/gate
-//!   derived inputs keep padding bit-inert) and responses are sliced
-//!   back to each request's true length. No per-request
-//!   (re)compilation — the Vortex-style answer to varying shapes.
+//!   kept: at most one variant per bucket pair. A batch of `n` requests
+//!   at mixed sequence lengths runs on the smallest covering bucket
+//!   with padded slots (mask/gate derived inputs keep padding
+//!   bit-inert) and responses are sliced back to each request's true
+//!   length. No per-request (re)compilation — the Vortex-style answer
+//!   to varying shapes.
 //! - **Explicit backpressure.** Admission is bounded; at capacity
 //!   [`Submit::Rejected`] is returned immediately instead of queueing
 //!   without bound.
