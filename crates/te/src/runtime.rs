@@ -60,7 +60,7 @@ const TRACE_LANE_BASE: u64 = 1000;
 /// from the compiled program's own def-use edges) or
 /// [`ExecPlan::with_levels_and_last_use`] (levels and liveness supplied
 /// by `souffle-analysis`, validated against the program).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecPlan {
     /// TE indices (into [`CompiledProgram::tes`]) per level; every input
     /// of a level-`k` TE is produced at a level `< k`.

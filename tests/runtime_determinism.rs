@@ -7,7 +7,9 @@
 //! already pins to the interpreter). This suite drives that contract over
 //! `TESTKIT_SEED`-randomized generated programs and over a handcrafted
 //! diamond dependency whose wavefront levels must order producers before
-//! consumers.
+//! consumers. It also pins the plan the global analysis implies (its
+//! wavefronts and liveness) to the plan `ExecPlan::from_compiled` derives
+//! from the program's own def-use edges, on every paper model.
 //!
 //! The runtimes under test are process-wide statics so the hundreds of
 //! property cases exercise *persistent* pools and *cross-call* arena
@@ -16,9 +18,13 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
+use souffle::{Compiled, Souffle, SouffleOptions};
+use souffle_frontend::models::bert::{self, BertConfig};
+use souffle_frontend::{build_model, Model, ModelConfig};
 use souffle_te::interp::{eval_program, random_bindings};
 use souffle_te::{
-    builders, compile_program, ExecPlan, Runtime, RuntimeOptions, TeProgram, TensorId,
+    builders, compile_program, CompiledProgram, ExecPlan, Runtime, RuntimeOptions, TeProgram,
+    TensorId,
 };
 use souffle_tensor::{DType, Shape};
 use souffle_testkit::teprog::gen_spec;
@@ -223,4 +229,62 @@ fn repeated_evals_on_recycled_buffers_are_stable() {
         stats.reused > 0,
         "12 rounds through one runtime must recycle buffers, stats {stats:?}"
     );
+}
+
+/// The plan built from the global analysis: levels from its dependence
+/// wavefronts, last uses from its liveness pass, validated against the
+/// program by `with_levels_and_last_use`.
+fn analysis_plan(compiled: &Compiled, cp: &CompiledProgram) -> ExecPlan {
+    let mut level_of = vec![0usize; cp.tes().len()];
+    for (lvl, wave) in compiled.analysis.wavefronts.iter().enumerate() {
+        for te in wave {
+            level_of[te.0] = lvl;
+        }
+    }
+    let last_use: Vec<Option<usize>> = (0..compiled.program.num_tensors())
+        .map(|i| {
+            compiled
+                .analysis
+                .liveness
+                .get(&TensorId(i))
+                .and_then(|r| r.last_use)
+        })
+        .collect();
+    ExecPlan::with_levels_and_last_use(cp, &level_of, &last_use)
+}
+
+/// The analysis levels TEs by longest path over producers in definition
+/// order and ends each live range at the highest consuming TE, which is
+/// exactly what `ExecPlan::from_compiled` derives from def-use edges; so
+/// both plans wavefront and recycle identically on every model, untouched
+/// (V0) and fully transformed.
+#[test]
+fn analysis_plan_is_the_def_use_plan() {
+    let mut cases = Vec::new();
+    for model in Model::ALL {
+        let program = build_model(model, ModelConfig::Tiny);
+        cases.push((format!("{model} V0"), program.clone(), SouffleOptions::v0()));
+        cases.push((format!("{model} full"), program, SouffleOptions::full()));
+    }
+    let bench_bert = bert::build(&BertConfig {
+        layers: 2,
+        hidden: 64,
+        heads: 4,
+        seq: 64,
+        ffn: 256,
+    });
+    cases.push((
+        "BERT(bench) full".into(),
+        bench_bert,
+        SouffleOptions::full(),
+    ));
+    for (label, program, options) in cases {
+        let compiled = Souffle::new(options).compile(&program);
+        let cp = compile_program(&compiled.program);
+        assert_eq!(
+            analysis_plan(&compiled, &cp),
+            ExecPlan::from_compiled(&cp),
+            "{label}: the analysis plan differs from the def-use plan"
+        );
+    }
 }
