@@ -91,21 +91,6 @@ impl GpuSpec {
         per_sm * self.num_sms as u64
     }
 
-    /// Fraction of per-SM resources one block occupies (the paper's
-    /// `max_occ` term in the partitioning constraint `max_grid * max_occ < C`).
-    pub fn occupancy_fraction(
-        &self,
-        threads_per_block: u32,
-        shared_mem_bytes: u64,
-        regs_per_thread: u32,
-    ) -> f64 {
-        let t = threads_per_block as f64 / self.max_threads_per_sm as f64;
-        let s = shared_mem_bytes as f64 / self.shared_mem_per_sm as f64;
-        let r = (regs_per_thread as u64 * threads_per_block as u64) as f64
-            / self.registers_per_sm as f64;
-        t.max(s).max(r)
-    }
-
     /// Effective peak FLOP/s for a body, given tensor-core eligibility.
     pub fn peak_flops(&self, tensor_core: bool) -> f64 {
         if tensor_core {
@@ -166,13 +151,6 @@ mod tests {
     #[test]
     fn wave_limit_zero_threads_is_zero() {
         assert_eq!(GpuSpec::a100().max_blocks_per_wave(0, 0, 0), 0);
-    }
-
-    #[test]
-    fn occupancy_fraction_takes_max_pressure() {
-        let g = GpuSpec::a100();
-        let f = g.occupancy_fraction(256, 82 * 1024, 32);
-        assert!((f - 0.5).abs() < 1e-9, "smem should dominate, got {f}");
     }
 
     #[test]

@@ -32,14 +32,11 @@
 
 mod cost;
 mod device;
-pub mod occupancy;
-pub mod primitives;
 mod schedule;
 mod search;
 
 pub use cost::{operand_footprints as cost_operand_footprints, te_global_bytes, te_time_estimate};
 pub use device::GpuSpec;
-pub use occupancy::{estimate_occupancy, OccupancyEstimate};
 pub use schedule::{Schedule, TileDim};
 pub use search::{
     auto_schedule, program_signature, schedule_program, schedule_program_with_stats,

@@ -50,11 +50,6 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Elements of the output computed by one block.
-    pub fn block_output_elems(&self) -> i64 {
-        self.output_tiles.iter().map(|t| t.tile).product()
-    }
-
     /// Total number of output elements.
     pub fn output_elems(&self) -> i64 {
         self.output_tiles.iter().map(|t| t.extent).product()
