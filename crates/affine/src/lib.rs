@@ -12,9 +12,8 @@
 //!   to input coordinates, with substitution-based composition,
 //! - [`AffineMatrix`]: the pure-affine matrix form `M·v + c` from the paper,
 //!   extracted from an [`IndexMap`] whenever the map is affine,
-//! - [`Relation`] and [`IterDomain`]: polyhedral-model-style notation for
-//!   element-wise dependence, including reduction variables for
-//!   *one-relies-on-many* TEs.
+//! - [`DependenceKind`]: the §5.2 classification of a TE's element-wise
+//!   dependence, which `souffle_te::TensorExpr::dependence_kind` computes.
 //!
 //! # Example: the paper's Fig. 4 composition
 //!
@@ -40,5 +39,5 @@ mod sym;
 
 pub use expr::IndexExpr;
 pub use map::{AffineMatrix, IndexMap};
-pub use relation::{DependenceKind, IterDomain, Relation};
+pub use relation::DependenceKind;
 pub use sym::{sym_interval, SymAffine};

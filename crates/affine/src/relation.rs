@@ -1,68 +1,6 @@
-//! Polyhedral-model-style dependence relations (§5.2 of the paper).
+//! The element-wise dependence classification of §5.2 of the paper.
 
-use crate::IndexMap;
 use std::fmt;
-
-/// A rectangular iteration domain `S = [x0, …, xn : 0 <= xi < bounds[i]]`.
-///
-/// TE iteration spaces in the paper are always rectangles defined by the
-/// output shape, so the polyhedral sets degenerate to boxes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct IterDomain {
-    bounds: Vec<i64>,
-}
-
-impl IterDomain {
-    /// Creates a domain with the given upper bounds (exclusive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any bound is not positive.
-    pub fn new(bounds: Vec<i64>) -> Self {
-        assert!(
-            bounds.iter().all(|&b| b > 0),
-            "domain bounds must be positive, got {bounds:?}"
-        );
-        IterDomain { bounds }
-    }
-
-    /// Upper bounds per dimension.
-    pub fn bounds(&self) -> &[i64] {
-        &self.bounds
-    }
-
-    /// Number of dimensions.
-    pub fn rank(&self) -> usize {
-        self.bounds.len()
-    }
-
-    /// Number of points in the domain.
-    pub fn cardinality(&self) -> i64 {
-        self.bounds.iter().product()
-    }
-
-    /// Whether `point` lies inside the domain.
-    pub fn contains(&self, point: &[i64]) -> bool {
-        point.len() == self.bounds.len()
-            && point
-                .iter()
-                .zip(&self.bounds)
-                .all(|(&p, &b)| (0..b).contains(&p))
-    }
-}
-
-impl fmt::Display for IterDomain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[")?;
-        for (i, b) in self.bounds.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "0<=x{i}<{b}")?;
-        }
-        write!(f, "]")
-    }
-}
 
 /// Classification of the element-wise dependence of a TE (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,255 +22,9 @@ impl fmt::Display for DependenceKind {
     }
 }
 
-/// An element-wise dependence relation from an output tensor to one input
-/// tensor, in the paper's polyhedral notation:
-///
-/// `R = {[x0..xn] -> [y0..ym] : constraints}` for one-relies-on-one, or
-/// `R = {[x0..xn] -> {[y0..ym], [r0..rs]} : constraints}` when reduction
-/// variables are present (one-relies-on-many).
-///
-/// ```
-/// use souffle_affine::{IndexMap, IterDomain, Relation, DependenceKind};
-/// // GEMM O0[i,j] -> I0[i, rk], rk in [0, 64)
-/// let map = IndexMap::identity(3); // over (i, j, rk) -- input indexed by (i, rk)
-/// let r = Relation::new(
-///     IterDomain::new(vec![64, 64]),
-///     IndexMap::new(3, vec![souffle_affine::IndexExpr::var(0), souffle_affine::IndexExpr::var(2)]),
-///     vec![64],
-/// );
-/// assert_eq!(r.kind(), DependenceKind::OneReliesOnMany);
-/// assert_eq!(r.footprint_per_output(), 64);
-/// # let _ = map;
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Relation {
-    output_domain: IterDomain,
-    /// Map over `output_rank + n_reduce` variables (outputs first, then
-    /// reduction variables) producing input coordinates.
-    map: IndexMap,
-    reduce_extents: Vec<i64>,
-}
-
-impl Relation {
-    /// Creates a relation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map.n_inputs()` is not `output rank + reduce rank`.
-    pub fn new(output_domain: IterDomain, map: IndexMap, reduce_extents: Vec<i64>) -> Self {
-        assert_eq!(
-            map.n_inputs(),
-            output_domain.rank() + reduce_extents.len(),
-            "index map must be over output vars followed by reduce vars"
-        );
-        Relation {
-            output_domain,
-            map,
-            reduce_extents,
-        }
-    }
-
-    /// The output iteration domain.
-    pub fn output_domain(&self) -> &IterDomain {
-        &self.output_domain
-    }
-
-    /// The index map from (output, reduce) coordinates to input coordinates.
-    pub fn map(&self) -> &IndexMap {
-        &self.map
-    }
-
-    /// Extents of the reduction variables (empty for one-relies-on-one).
-    pub fn reduce_extents(&self) -> &[i64] {
-        &self.reduce_extents
-    }
-
-    /// Dependence classification.
-    pub fn kind(&self) -> DependenceKind {
-        if self.reduce_extents.is_empty() {
-            DependenceKind::OneReliesOnOne
-        } else {
-            DependenceKind::OneReliesOnMany
-        }
-    }
-
-    /// How many input elements one output element relies on.
-    pub fn footprint_per_output(&self) -> i64 {
-        self.reduce_extents.iter().product()
-    }
-
-    /// For one-relies-on-one relations, the input coordinate read by a given
-    /// output coordinate.
-    ///
-    /// # Panics
-    ///
-    /// Panics for one-relies-on-many relations or out-of-domain points.
-    pub fn source_of(&self, output: &[i64]) -> Vec<i64> {
-        assert!(
-            self.reduce_extents.is_empty(),
-            "source_of is only defined for one-relies-on-one relations"
-        );
-        assert!(
-            self.output_domain.contains(output),
-            "output point {output:?} outside domain {}",
-            self.output_domain
-        );
-        self.map.eval(output)
-    }
-
-    /// Enumerates all input coordinates one output element depends on
-    /// (the reduced region for one-relies-on-many relations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `output` is outside the output domain.
-    pub fn sources_of(&self, output: &[i64]) -> Vec<Vec<i64>> {
-        assert!(
-            self.output_domain.contains(output),
-            "output point {output:?} outside domain {}",
-            self.output_domain
-        );
-        if self.reduce_extents.is_empty() {
-            return vec![self.map.eval(output)];
-        }
-        let red = IterDomain::new(self.reduce_extents.clone());
-        let mut out = Vec::with_capacity(red.cardinality() as usize);
-        let mut point = output.to_vec();
-        let base = point.len();
-        point.extend(std::iter::repeat_n(0, red.rank()));
-        let mut counter = vec![0i64; red.rank()];
-        loop {
-            point[base..].copy_from_slice(&counter);
-            out.push(self.map.eval(&point));
-            // increment the mixed-radix counter
-            let mut axis = red.rank();
-            loop {
-                if axis == 0 {
-                    return out;
-                }
-                axis -= 1;
-                counter[axis] += 1;
-                if counter[axis] < red.bounds()[axis] {
-                    break;
-                }
-                counter[axis] = 0;
-            }
-        }
-    }
-}
-
-impl fmt::Display for Relation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let xs: Vec<String> = (0..self.output_domain.rank())
-            .map(|i| format!("x{i}"))
-            .collect();
-        write!(f, "{{[{}] -> ", xs.join(", "))?;
-        if self.reduce_extents.is_empty() {
-            write!(f, "[{}]", fmt_exprs(&self.map))?;
-        } else {
-            let rs: Vec<String> = self
-                .reduce_extents
-                .iter()
-                .enumerate()
-                .map(|(i, e)| format!("0<=r{i}<{e}"))
-                .collect();
-            write!(f, "{{[{}], [{}]}}", fmt_exprs(&self.map), rs.join(", "))?;
-        }
-        write!(f, " : {}}}", self.output_domain)
-    }
-}
-
-fn fmt_exprs(map: &IndexMap) -> String {
-    map.exprs()
-        .iter()
-        .map(|e| e.to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IndexExpr;
-
-    fn gemm_input_relation() -> Relation {
-        // R0 = {O0[i,j] -> {I0[i,rk], [0<=rk<64]}, 0<=i<64, 0<=j<64}
-        Relation::new(
-            IterDomain::new(vec![64, 64]),
-            IndexMap::new(3, vec![IndexExpr::var(0), IndexExpr::var(2)]),
-            vec![64],
-        )
-    }
-
-    #[test]
-    fn domain_contains() {
-        let d = IterDomain::new(vec![4, 4]);
-        assert!(d.contains(&[0, 3]));
-        assert!(!d.contains(&[0, 4]));
-        assert!(!d.contains(&[0]));
-        assert_eq!(d.cardinality(), 16);
-    }
-
-    #[test]
-    fn gemm_relation_is_one_relies_on_many() {
-        let r = gemm_input_relation();
-        assert_eq!(r.kind(), DependenceKind::OneReliesOnMany);
-        assert_eq!(r.footprint_per_output(), 64);
-        let srcs = r.sources_of(&[3, 7]);
-        assert_eq!(srcs.len(), 64);
-        assert_eq!(srcs[0], vec![3, 0]);
-        assert_eq!(srcs[63], vec![3, 63]);
-    }
-
-    #[test]
-    fn elementwise_relation_is_one_to_one() {
-        // R1 = {O1[i,j] -> O0[i,j]}
-        let r = Relation::new(IterDomain::new(vec![64, 64]), IndexMap::identity(2), vec![]);
-        assert_eq!(r.kind(), DependenceKind::OneReliesOnOne);
-        assert_eq!(r.source_of(&[5, 9]), vec![5, 9]);
-        assert_eq!(r.sources_of(&[5, 9]), vec![vec![5, 9]]);
-        assert_eq!(r.footprint_per_output(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "only defined for one-relies-on-one")]
-    fn source_of_reduction_panics() {
-        gemm_input_relation().source_of(&[0, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside domain")]
-    fn out_of_domain_panics() {
-        gemm_input_relation().sources_of(&[64, 0]);
-    }
-
-    #[test]
-    fn multi_axis_reduction_enumerates_all() {
-        // O[i] -> I[i, r0, r1] with r0 in [0,2), r1 in [0,3)
-        let r = Relation::new(
-            IterDomain::new(vec![4]),
-            IndexMap::new(
-                3,
-                vec![IndexExpr::var(0), IndexExpr::var(1), IndexExpr::var(2)],
-            ),
-            vec![2, 3],
-        );
-        let srcs = r.sources_of(&[1]);
-        assert_eq!(srcs.len(), 6);
-        assert!(srcs.contains(&vec![1, 0, 0]));
-        assert!(srcs.contains(&vec![1, 1, 2]));
-    }
-
-    #[test]
-    fn display_polyhedral_notation() {
-        let r = Relation::new(
-            IterDomain::new(vec![8]),
-            IndexMap::new(1, vec![IndexExpr::var(0).mul(2)]),
-            vec![],
-        );
-        let s = r.to_string();
-        assert!(s.contains("[x0] -> [2*v0]"), "got {s}");
-    }
 
     #[test]
     fn kind_display() {

@@ -19,8 +19,8 @@
 //!   notation) handed to the transformation stage.
 //!
 //! Element-wise dependence itself (one-relies-on-one / one-relies-on-many,
-//! §5.2) is exposed by `souffle_te::TensorExpr::relations` and re-exported
-//! through [`AnalysisResult`].
+//! §5.2) is classified by `souffle_te::TensorExpr::dependence_kind` and
+//! stored per TE in [`AnalysisResult::dependence`].
 
 pub mod classify;
 pub mod graph;

@@ -2,7 +2,7 @@
 
 use crate::expr::ScalarExpr;
 use crate::program::TensorId;
-use souffle_affine::{DependenceKind, IndexMap, IterDomain, Relation};
+use souffle_affine::{DependenceKind, IndexMap};
 use souffle_tensor::Shape;
 use std::fmt;
 
@@ -45,13 +45,6 @@ impl ReduceOp {
             ReduceOp::Min => acc.min(x),
         }
     }
-
-    /// Whether partial results can be combined with device atomics
-    /// (the paper's two-phase reduction uses `atomicAdd`, §2.3; max/min have
-    /// atomic equivalents on the simulated device as well).
-    pub fn has_atomic(self) -> bool {
-        true
-    }
 }
 
 /// A single tensor expression: `output[i0..in] = reduce(body)` over the
@@ -93,11 +86,6 @@ impl TensorExpr {
         !self.reduce.is_empty()
     }
 
-    /// Number of points in the output iteration space.
-    pub fn output_points(&self, output_shape: &Shape) -> i64 {
-        output_shape.numel()
-    }
-
     /// Number of body evaluations (output points × reduction points).
     pub fn total_points(&self, output_shape: &Shape) -> i64 {
         output_shape.numel() * self.reduce.iter().product::<i64>()
@@ -126,34 +114,6 @@ impl TensorExpr {
         let reads = (self.body.access_cost() as f64) * total;
         let writes = output_shape.numel() as f64;
         arith / (reads + writes).max(1.0)
-    }
-
-    /// Element-wise dependence relations, one per access in the body, in
-    /// the paper's polyhedral notation (§5.2). Accesses with non-index
-    /// operands (none in practice) are skipped.
-    pub fn relations(&self, output_shape: &Shape) -> Vec<(usize, Relation)> {
-        let domain = IterDomain::new(output_shape.dims().to_vec());
-        let rank = output_shape.rank();
-        let n_free = rank + self.reduce.len();
-        // Fold binders introduced by reduction fusion live above the free
-        // variables; treat them as extra reduction axes so the relation's
-        // footprint reflects the recomputed slice.
-        let n_all = n_free.max(self.body.max_var().map_or(0, |m| m + 1));
-        let mut extents = self.reduce.clone();
-        extents.resize(n_all - rank, 1);
-        for (var, extent) in self.body.collect_folds() {
-            if var >= n_free {
-                extents[var - rank] = extent;
-            }
-        }
-        self.body
-            .accesses()
-            .into_iter()
-            .map(|(operand, indices)| {
-                let map = IndexMap::new(n_all, indices.to_vec());
-                (operand, Relation::new(domain.clone(), map, extents.clone()))
-            })
-            .collect()
     }
 
     /// For one-relies-on-one TEs whose body is a *pure view* of a single
@@ -220,18 +180,6 @@ mod tests {
         assert!(te.compute_memory_ratio(&shape) < 3.0); // mul-only body is ~0.5/access
         assert_eq!(te.total_points(&shape), 64 * 64 * 64);
         assert!(te.flops(&shape) >= 2 * 64 * 64 * 64);
-    }
-
-    #[test]
-    fn relations_expose_reduction_region() {
-        let te = gemm_te();
-        let shape = Shape::new(vec![64, 64]);
-        let rels = te.relations(&shape);
-        assert_eq!(rels.len(), 2);
-        let (operand, r) = &rels[0];
-        assert_eq!(*operand, 0);
-        assert_eq!(r.footprint_per_output(), 64);
-        assert_eq!(r.sources_of(&[1, 2])[0], vec![1, 0]);
     }
 
     #[test]
