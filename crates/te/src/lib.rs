@@ -73,8 +73,8 @@ pub use program::{TeProgram, TensorId, TensorInfo, TensorKind, ValidateError};
 pub use rewrite_log::{Rewrite, RewriteLog};
 pub use runtime::{ExecPlan, Runtime, RuntimeOptions, RuntimeStats};
 pub use sym::{
-    DerivedInput, Dim, DimPoly, DynProgram, DynSource, DynSpec, PerStep, SymBinding, SymDecl,
-    SymId, SymTable,
+    DerivedInput, Dim, DynProgram, DynSource, DynSpec, PerStep, SymBinding, SymDecl, SymId,
+    SymTable,
 };
 pub use te::{ReduceOp, TeId, TensorExpr};
 pub use vm::{thread_count, THREADS_ENV};

@@ -5,11 +5,9 @@
 //! and reduction extents are [`Dim`]s — either `Fixed` or `Sym` — inferred by
 //! probing a concrete builder at a few bindings and diffing the results
 //! ([`DynProgram::infer`]). Concretizing a template at a [`SymBinding`]
-//! rebuilds the program with every symbolic extent substituted.
-//!
-//! Extent arithmetic over symbolic dims uses [`DimPoly`], an integer
-//! polynomial in the declared symbols; the verifier proves bounds
-//! parametrically from the per-axis [`Dim`] annotations.
+//! rebuilds the program with every symbolic extent substituted. The
+//! verifier proves bounds parametrically from the per-axis [`Dim`]
+//! annotations.
 
 use crate::program::TeProgram;
 use crate::te::TensorExpr;
@@ -176,14 +174,6 @@ impl Dim {
         }
     }
 
-    /// The extent as a polynomial.
-    pub fn poly(self) -> DimPoly {
-        match self {
-            Dim::Fixed(n) => DimPoly::constant(n),
-            Dim::Sym(s) => DimPoly::sym(s),
-        }
-    }
-
     /// The sym id, if symbolic.
     pub fn as_sym(self) -> Option<SymId> {
         match self {
@@ -199,124 +189,6 @@ impl fmt::Display for Dim {
             Dim::Fixed(n) => write!(f, "{n}"),
             Dim::Sym(s) => write!(f, "{s}"),
         }
-    }
-}
-
-/// Integer polynomial over symbolic dims, normalized as a sorted sum of
-/// monomials (`coeff * s_i * s_j * ...`). Closed under `+` and `*`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DimPoly {
-    /// Sorted `(monomial, coeff)` pairs; monomials are sorted sym indices
-    /// (with multiplicity), coeffs are nonzero. Empty means the zero poly.
-    terms: Vec<(Vec<usize>, i64)>,
-}
-
-impl DimPoly {
-    /// The zero polynomial.
-    pub fn zero() -> Self {
-        DimPoly { terms: Vec::new() }
-    }
-
-    /// The constant polynomial `c`.
-    pub fn constant(c: i64) -> Self {
-        if c == 0 {
-            Self::zero()
-        } else {
-            DimPoly {
-                terms: vec![(Vec::new(), c)],
-            }
-        }
-    }
-
-    /// The polynomial `s`.
-    pub fn sym(s: SymId) -> Self {
-        DimPoly {
-            terms: vec![(vec![s.0], 1)],
-        }
-    }
-
-    fn normalized(mut terms: Vec<(Vec<usize>, i64)>) -> Self {
-        terms.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut out: Vec<(Vec<usize>, i64)> = Vec::with_capacity(terms.len());
-        for (mono, c) in terms {
-            match out.last_mut() {
-                Some((m, acc)) if *m == mono => *acc += c,
-                _ => out.push((mono, c)),
-            }
-        }
-        out.retain(|(_, c)| *c != 0);
-        DimPoly { terms: out }
-    }
-
-    /// Sum of two polynomials.
-    pub fn add(&self, other: &DimPoly) -> DimPoly {
-        let mut terms = self.terms.clone();
-        terms.extend(other.terms.iter().cloned());
-        Self::normalized(terms)
-    }
-
-    /// Product of two polynomials.
-    pub fn mul(&self, other: &DimPoly) -> DimPoly {
-        let mut terms = Vec::with_capacity(self.terms.len() * other.terms.len());
-        for (ma, ca) in &self.terms {
-            for (mb, cb) in &other.terms {
-                let mut m = ma.clone();
-                m.extend(mb.iter().copied());
-                m.sort_unstable();
-                terms.push((m, ca * cb));
-            }
-        }
-        Self::normalized(terms)
-    }
-
-    /// Product with a constant.
-    pub fn scale(&self, k: i64) -> DimPoly {
-        Self::normalized(self.terms.iter().map(|(m, c)| (m.clone(), c * k)).collect())
-    }
-
-    /// Evaluates at a binding.
-    pub fn eval(&self, binding: &SymBinding) -> i64 {
-        self.terms
-            .iter()
-            .map(|(m, c)| m.iter().fold(*c, |acc, &s| acc * binding.get(SymId(s))))
-            .sum()
-    }
-
-    /// Whether the polynomial has no sym terms.
-    pub fn is_constant(&self) -> bool {
-        self.terms.iter().all(|(m, _)| m.is_empty())
-    }
-
-    /// Total degree of the polynomial (0 for constants and zero).
-    pub fn degree(&self) -> usize {
-        self.terms.iter().map(|(m, _)| m.len()).max().unwrap_or(0)
-    }
-}
-
-impl fmt::Display for DimPoly {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.terms.is_empty() {
-            return write!(f, "0");
-        }
-        for (i, (mono, c)) in self.terms.iter().enumerate() {
-            if i > 0 {
-                write!(f, " + ")?;
-            }
-            if mono.is_empty() {
-                write!(f, "{c}")?;
-            } else {
-                if *c != 1 {
-                    write!(f, "{c}*")?;
-                }
-                for (j, s) in mono.iter().enumerate() {
-                    if j > 0 {
-                        write!(f, "*")?;
-                    }
-                    write!(f, "s{s}")?;
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -884,25 +756,6 @@ mod tests {
         let dp = DynProgram::infer(table, &|b| matvec(b.get(r), b.get(c))).unwrap();
         let b = dp.table().bind(vec![3, 5]).unwrap();
         assert!(programs_equal(&dp.concretize(&b), &matvec(3, 5)));
-    }
-
-    #[test]
-    fn dim_poly_arithmetic_and_eval() {
-        let mut table = SymTable::new();
-        let a = table.declare("a", 1, 10);
-        let b = table.declare("b", 1, 10);
-        let p = DimPoly::sym(a)
-            .mul(&DimPoly::sym(b))
-            .add(&DimPoly::sym(a).scale(3))
-            .add(&DimPoly::constant(2));
-        let bind = table.bind(vec![4, 5]).unwrap();
-        assert_eq!(p.eval(&bind), 4 * 5 + 3 * 4 + 2);
-        assert_eq!(p.degree(), 2);
-        assert!(!p.is_constant());
-        assert_eq!(format!("{p}"), "2 + 3*s0 + s0*s1");
-        let zero = p.add(&p.scale(-1));
-        assert_eq!(zero, DimPoly::zero());
-        assert!(zero.is_constant());
     }
 
     #[test]
