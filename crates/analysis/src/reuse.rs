@@ -2,7 +2,6 @@
 
 use crate::graph::TeGraph;
 use souffle_te::{TeId, TeProgram, TensorId};
-use std::collections::HashMap;
 
 /// All reuse opportunities found in a program.
 ///
@@ -32,11 +31,6 @@ impl ReuseReport {
             .chain(self.temporal.iter())
             .find(|(t, _)| *t == tensor)
             .map(|(_, c)| c.as_slice())
-    }
-
-    /// Tensors with temporal reuse, as a map for Algorithm 1's `TR` input.
-    pub fn temporal_map(&self) -> HashMap<TensorId, Vec<TeId>> {
-        self.temporal.iter().cloned().collect()
     }
 
     /// Total number of reused tensors.
@@ -131,7 +125,6 @@ mod tests {
         assert_eq!(r.temporal.len(), 1);
         assert_eq!(r.temporal[0].0, e);
         assert!(r.spatial.is_empty());
-        assert!(r.temporal_map().contains_key(&e));
     }
 
     #[test]

@@ -167,14 +167,6 @@ impl CompiledModel {
     pub fn num_kernels(&self) -> usize {
         self.kernels.len()
     }
-
-    /// Total global-memory traffic (reads + writes) in bytes.
-    pub fn global_traffic_bytes(&self) -> u64 {
-        self.kernels
-            .iter()
-            .map(|k| k.global_read_bytes() + k.global_write_bytes())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_model_traffic() {
+    fn compiled_model_counts_kernels() {
         let k = Kernel {
             name: "k".into(),
             stages: vec![stage(
@@ -269,7 +261,6 @@ mod tests {
             kernels: vec![k.clone(), k],
         };
         assert_eq!(m.num_kernels(), 2);
-        assert_eq!(m.global_traffic_bytes(), 30);
     }
 
     #[test]

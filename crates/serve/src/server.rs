@@ -193,22 +193,6 @@ pub struct ServerStats {
     pub batch_hist: Vec<u64>,
 }
 
-impl ServerStats {
-    /// Mean real batch size over executed batches (0 when none ran).
-    pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        let total: u64 = self
-            .batch_hist
-            .iter()
-            .enumerate()
-            .map(|(n, &c)| n as u64 * c)
-            .sum();
-        total as f64 / self.batches as f64
-    }
-}
-
 enum Slot {
     Pending,
     Ready(Result<Response, ServeError>),

@@ -71,11 +71,6 @@ impl Table {
     }
 }
 
-/// Formats a duration in the unit the paper uses for the experiment.
-pub fn fmt_ms(seconds: f64) -> String {
-    format!("{:.3}", seconds * 1e3)
-}
-
 /// Formats a time in microseconds.
 pub fn fmt_us(seconds: f64) -> String {
     format!("{:.2}", seconds * 1e6)
@@ -105,7 +100,6 @@ mod tests {
 
     #[test]
     fn formatters() {
-        assert_eq!(fmt_ms(0.001234), "1.234");
         assert_eq!(fmt_us(62.34e-6), "62.34");
         assert_eq!(fmt_mb(16_520_000), "16.5");
     }

@@ -32,18 +32,6 @@ pub struct ArenaStats {
     pub high_water_bytes: u64,
 }
 
-impl ArenaStats {
-    /// Fraction of requests served without allocating, in `[0, 1]`.
-    pub fn reuse_rate(&self) -> f64 {
-        let total = self.reused + self.allocated;
-        if total == 0 {
-            0.0
-        } else {
-            self.reused as f64 / total as f64
-        }
-    }
-}
-
 /// Free list of `f32` buffers with best-fit reuse.
 ///
 /// Not internally synchronized; the runtime wraps it in a `Mutex` and only

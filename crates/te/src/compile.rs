@@ -239,12 +239,6 @@ impl CompiledTe {
         self.pieces.iter().map(|p| p.generic.len()).sum()
     }
 
-    /// Bytecode length summed over pieces (a proxy for body size after
-    /// fusion).
-    pub fn code_len(&self) -> usize {
-        self.pieces.iter().map(|p| p.code.len()).sum()
-    }
-
     /// Name of the specialized kernel this TE dispatches to: `"bytecode"`
     /// when any piece stays on the VM's instruction loop, else the first
     /// piece's kernel.

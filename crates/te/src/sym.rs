@@ -72,11 +72,6 @@ impl SymTable {
         self.decls.is_empty()
     }
 
-    /// Declaration of one sym.
-    pub fn decl(&self, id: SymId) -> &SymDecl {
-        &self.decls[id.0]
-    }
-
     /// All declarations, in id order.
     pub fn decls(&self) -> &[SymDecl] {
         &self.decls
@@ -294,15 +289,6 @@ impl DynProgram {
     /// Per-entry dims of a TE's `reduce` vector (by TE-id index).
     pub fn reduce_dims(&self, te: usize) -> &[Dim] {
         &self.reduce_dims[te]
-    }
-
-    /// Axes of a tensor that are symbolic, as `(axis, sym)` pairs.
-    pub fn sym_axes(&self, tensor: usize) -> Vec<(usize, SymId)> {
-        self.tensor_dims[tensor]
-            .iter()
-            .enumerate()
-            .filter_map(|(axis, d)| d.as_sym().map(|s| (axis, s)))
-            .collect()
     }
 
     /// Fault-injection/testing constructor: replaces one tensor-axis

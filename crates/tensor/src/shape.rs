@@ -122,13 +122,6 @@ impl Shape {
             next_flat: 0,
         }
     }
-
-    /// Returns a new shape with `extent` appended as the last dimension.
-    pub fn with_appended(&self, extent: i64) -> Shape {
-        let mut dims = self.dims.clone();
-        dims.push(extent);
-        Shape::new(dims)
-    }
 }
 
 impl fmt::Display for Shape {
@@ -229,12 +222,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_extent_panics() {
         Shape::new(vec![2, 0]);
-    }
-
-    #[test]
-    fn with_appended_extends() {
-        let s = Shape::new(vec![2, 3]).with_appended(4);
-        assert_eq!(s.dims(), &[2, 3, 4]);
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl Tensor {
         Tensor { shape, dtype, data }
     }
 
-    /// Consumes the tensor, returning its row-major data buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns this tensor re-tagged with `dtype` (storage is unchanged).
     pub fn with_dtype(mut self, dtype: DType) -> Self {
         self.dtype = dtype;
@@ -259,11 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_roundtrips_through_into_data() {
+    fn from_parts_keeps_dtype_and_layout() {
         let t = Tensor::from_parts(Shape::new(vec![2, 2]), DType::F16, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(t.dtype(), DType::F16);
         assert_eq!(t.at(&[1, 0]), 3.0);
-        assert_eq!(t.into_data(), vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

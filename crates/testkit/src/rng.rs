@@ -118,11 +118,6 @@ impl Rng {
         let n = self.usize_in(len);
         (0..n).map(|_| f(self)).collect()
     }
-
-    /// Splits off an independent generator (seeded from this stream).
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]

@@ -447,23 +447,6 @@ impl Trace {
             self.render_report(c, depth + 1, out);
         }
     }
-
-    /// Total duration of all spans named `name`, nanoseconds.
-    pub fn duration_ns(&self, name: &str) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.dur_ns())
-            .sum()
-    }
-
-    /// All spans whose name starts with `prefix`, in creation order.
-    pub fn spans_with_prefix(&self, prefix: &str) -> Vec<&SpanRec> {
-        self.spans
-            .iter()
-            .filter(|s| s.name.starts_with(prefix))
-            .collect()
-    }
 }
 
 fn format_ns(ns: u64) -> String {
