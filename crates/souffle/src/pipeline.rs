@@ -64,7 +64,9 @@ impl CompileStats {
 /// The result of compiling a model with Souffle.
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// The (possibly transformed) TE program that was lowered.
+    /// The (possibly transformed) TE program that was lowered. The first
+    /// evaluation compiles it for the host evaluator once, so it must not
+    /// change after that.
     pub program: TeProgram,
     /// Global analysis results for that program.
     pub analysis: AnalysisResult,
@@ -80,6 +82,9 @@ pub struct Compiled {
     /// (empty when certification is off). Each records what the certifier
     /// proved about that stage's rewrite.
     pub certificates: Vec<Certificate>,
+    /// `program`'s bytecode and wavefront plan, built on first evaluation
+    /// (a compile that is never evaluated never builds them).
+    executable: OnceLock<(CompiledProgram, ExecPlan)>,
 }
 
 impl Compiled {
@@ -92,6 +97,16 @@ impl Compiled {
     /// code-generation stage, Fig. 2's `Fn_TE_Subprogram_0`).
     pub fn emit_cuda(&self) -> String {
         souffle_kernel::codegen::emit_model(&self.program, &self.kernels)
+    }
+
+    /// The host evaluator's bytecode for `program` and its wavefront plan,
+    /// built once and shared by every evaluation.
+    fn executable(&self) -> &(CompiledProgram, ExecPlan) {
+        self.executable.get_or_init(|| {
+            let cp = compile_program(&self.program);
+            let plan = ExecPlan::from_compiled(&cp);
+            (cp, plan)
+        })
     }
 }
 
@@ -231,30 +246,6 @@ impl Souffle {
                 fast_math: self.options.fast_math,
             })
         })
-    }
-
-    /// Builds the wavefront execution plan for a compiled model from the
-    /// global analysis: dependence-graph wavefronts give the levels, and
-    /// the liveness pass gives each intermediate's last use (which keys
-    /// the arena's buffer recycling). The plan constructor revalidates
-    /// both against the program's def-use edges.
-    fn exec_plan(compiled: &Compiled, cp: &CompiledProgram) -> ExecPlan {
-        let mut level_of = vec![0usize; cp.tes().len()];
-        for (lvl, wave) in compiled.analysis.wavefronts.iter().enumerate() {
-            for te in wave {
-                level_of[te.0] = lvl;
-            }
-        }
-        let last_use: Vec<Option<usize>> = (0..compiled.program.num_tensors())
-            .map(|i| {
-                compiled
-                    .analysis
-                    .liveness
-                    .get(&TensorId(i))
-                    .and_then(|r| r.last_use)
-            })
-            .collect();
-        ExecPlan::with_levels_and_last_use(cp, &level_of, &last_use)
     }
 
     /// Runs one verifier stage under a `verify:<stage>` span, accumulates
@@ -509,6 +500,7 @@ impl Souffle {
             stats,
             diagnostics: diags,
             certificates: certs,
+            executable: OnceLock::new(),
         })
     }
 
@@ -529,7 +521,7 @@ impl Souffle {
         // Static kernel-tier census: which TEs the compiled evaluator runs
         // through specialized native loops vs the bytecode VM (the
         // per-eval dispatch counts surface as `kernels.*` trace counters).
-        let census = compile_program(&compiled.program).kernel_census();
+        let census = compiled.executable().0.kernel_census();
         let _ = writeln!(
             out,
             "  kernel tier: {} specialized (copy_rows {}, ew_tile {}, row_dot {}, \
@@ -610,12 +602,11 @@ impl Souffle {
         compiled: &Compiled,
         bindings: &HashMap<TensorId, Tensor>,
     ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
-        let cp = compile_program(&compiled.program);
-        let plan = Self::exec_plan(compiled, &cp);
+        let (cp, plan) = compiled.executable();
         if self.tracer.is_enabled() {
             let result = self.runtime().eval_keeping_intermediates_with_plan_traced(
-                &cp,
-                &plan,
+                cp,
+                plan,
                 bindings,
                 &self.tracer,
                 None,
@@ -624,7 +615,7 @@ impl Souffle {
             result
         } else {
             self.runtime()
-                .eval_keeping_intermediates_with_plan(&cp, &plan, bindings)
+                .eval_keeping_intermediates_with_plan(cp, plan, bindings)
         }
     }
 
@@ -648,8 +639,8 @@ impl Souffle {
     /// The inference hot path: evaluates the compiled (transformed) TE
     /// program with the wavefront runtime and returns **output tensors
     /// only**. Intermediates are recycled through the runtime's buffer
-    /// arena (keyed by the analysis liveness results), so repeated calls
-    /// perform no per-inference allocation for them. Output values are
+    /// arena once their last consumer has run, so repeated calls perform
+    /// no per-inference allocation for them. Output values are
     /// bit-identical to [`Souffle::eval_reference`].
     ///
     /// # Errors
@@ -661,16 +652,15 @@ impl Souffle {
         compiled: &Compiled,
         bindings: &HashMap<TensorId, Tensor>,
     ) -> Result<HashMap<TensorId, Tensor>, EvalError> {
-        let cp = compile_program(&compiled.program);
-        let plan = Self::exec_plan(compiled, &cp);
+        let (cp, plan) = compiled.executable();
         if self.tracer.is_enabled() {
             let result =
                 self.runtime()
-                    .eval_with_plan_traced(&cp, &plan, bindings, &self.tracer, None);
+                    .eval_with_plan_traced(cp, plan, bindings, &self.tracer, None);
             self.record_runtime_counters();
             result
         } else {
-            self.runtime().eval_with_plan(&cp, &plan, bindings)
+            self.runtime().eval_with_plan(cp, plan, bindings)
         }
     }
 
@@ -940,6 +930,8 @@ mod tests {
         });
         assert_eq!(pooled.runtime().threads(), 2);
         let cf = pooled.compile(&p);
+        // Compiling builds no host executable; the first evaluation does.
+        assert!(cf.executable.get().is_none());
         let want = eval_program(&cf.program, &bindings).unwrap();
         // Repeated evals through one Souffle instance recycle the arena;
         // results must stay bit-identical every time.
@@ -957,6 +949,7 @@ mod tests {
                 }
             }
         }
+        assert!(cf.executable.get().is_some());
         let stats = pooled.runtime().arena_stats();
         assert!(stats.reused > 0, "arena must recycle buffers: {stats:?}");
     }
