@@ -71,7 +71,7 @@ pub fn schedule_program_with_stats(
 }
 
 /// Structural signature of a whole program: a stable 64-bit FNV-1a hash of
-/// every TE's [`te_signature`] plus the tensor table (names, kinds, shapes,
+/// every TE's `te_signature` plus the tensor table (names, kinds, shapes,
 /// dtypes). Two programs share a signature exactly when the scheduler and
 /// compiler see the same structure — the shape-bucketed kernel cache uses
 /// this as the structural half of its `ShapeClass` key.

@@ -7,7 +7,7 @@
 //! equivalence checking is structural equality on canonical forms. The
 //! normal form is reached by:
 //!
-//! 1. algebraic simplification ([`ScalarExpr::simplified`]) — constant
+//! 1. algebraic simplification ([`ScalarExpr::simplify`]) — constant
 //!    folding and additive/multiplicative identities;
 //! 2. linear normalization of every embedded [`IndexExpr`] (affine
 //!    accesses rewrite to the unique `Σ cᵢ·vᵢ + c` form, so

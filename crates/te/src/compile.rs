@@ -5,7 +5,7 @@
 //! output (and reduction) point. This module lowers each TE body **once**
 //! into:
 //!
-//! - a flat, register-based instruction sequence ([`Instr`]) with explicit
+//! - a flat, register-based instruction sequence (`Instr`) with explicit
 //!   jumps for lazily-evaluated `Select` branches (so guarded out-of-bounds
 //!   accesses — padding — are never touched, exactly like the naive
 //!   interpreter), and
@@ -55,7 +55,7 @@
 //! so the first failing element, and with it the error, is the
 //! interpreter's.
 //!
-//! Evaluation of the compiled form lives in [`crate::vm`].
+//! Evaluation of the compiled form lives in the private `vm` module.
 
 use crate::expr::{BinaryOp, CmpOp, Cond, ScalarExpr, UnaryOp};
 use crate::kernels::{self, KernelSel, KernelStats};

@@ -1,10 +1,10 @@
 //! Monomorphized native kernel tier: fixed-stride inner loops under the
 //! bytecode VM.
 //!
-//! The compiled evaluator ([`crate::vm`]) executes every TE body through
-//! scalar per-element dispatch — fast relative to the tree-walking
+//! The compiled evaluator (the private `vm` module) executes every TE body
+//! through scalar per-element dispatch — fast relative to the tree-walking
 //! interpreter, but far from what the hardware can do. This module adds a
-//! third evaluator tier between the two: at compile time, [`select`]
+//! third evaluator tier between the two: at compile time, `select`
 //! pattern-matches each compiled piece (using the body classification the
 //! compiler already performs plus the strength-reduced stride tables)
 //! and, when the strides are compile-time constant and unit (or zero)
@@ -33,7 +33,7 @@
 //! - **`ew_tile`** — straight-line element-wise bodies (no reduction, no
 //!   `Select`, no generic access, no index values) whose affine accesses
 //!   are all unit- or zero-stride along the innermost axis: the bytecode
-//!   runs over register *tiles* of [`TILE`] lanes, so instruction dispatch
+//!   runs over register *tiles* of `TILE` lanes, so instruction dispatch
 //!   amortizes 16× and the per-instruction lane loops autovectorize.
 //! - **`row_dot`** — the matmul body `sum_k a[..,k] * b[k, j]` where the
 //!   left factor does not vary along the innermost output axis and the
@@ -58,9 +58,10 @@
 //! *across* elements (that is where the SIMD lanes come from), which
 //! cannot change any result bit because elements are computed
 //! independently from pure loads. The one opt-out is
-//! [`ExecOpts::fast_math`], which relaxes the *reduction order* of `Sum`
-//! dots into multi-lane partial accumulators; it changes float results, is
-//! off by default, and is excluded from every differential oracle.
+//! `ExecOpts::fast_math` (set from [`crate::RuntimeOptions::fast_math`]),
+//! which relaxes the *reduction order* of `Sum` dots into multi-lane
+//! partial accumulators; it changes float results, is off by default, and
+//! is excluded from every differential oracle.
 //!
 //! Selection is total and static, so per-evaluation dispatch counts are
 //! deterministic; the runtime aggregates them into [`KernelStats`] and the
@@ -125,7 +126,7 @@ pub enum FallbackReason {
     /// or product.
     ReducedBody,
     /// Too few body evaluations to amortize kernel setup; plain bytecode
-    /// dispatch is faster (see [`SMALL_TE_POINTS`]).
+    /// dispatch is faster (see `SMALL_TE_POINTS`).
     SmallTe,
 }
 

@@ -6,16 +6,16 @@
 //! all rewrite the IR aggressively. This crate re-proves the invariants
 //! those rewrites must preserve, after every pipeline stage:
 //!
-//! 1. **Well-formedness** ([`wellformed`]): def-before-use, the
+//! 1. **Well-formedness** (`wellformed`): def-before-use, the
 //!    single-producer property, operand arity/rank agreement, index-
 //!    variable ranges, reduction sanity, non-empty shapes.
-//! 2. **Affine bounds** ([`bounds`]): saturating interval evaluation of
+//! 2. **Affine bounds** (`bounds`): saturating interval evaluation of
 //!    every unguarded quasi-affine access over its box domain, proving
 //!    loads in-bounds — including accesses produced by Eq. 2 composition.
-//! 3. **Merged-kernel safety** ([`races`]): cross-stage producer→consumer
+//! 3. **Merged-kernel safety** (`races`): cross-stage producer→consumer
 //!    pairs and write-write conflicts inside one kernel launch must be
 //!    separated by a grid-wide sync.
-//! 4. **Lints** ([`lint`]): dead TEs and unused caller-bound inputs
+//! 4. **Lints** (`lint`): dead TEs and unused caller-bound inputs
 //!    (warnings — legal but almost always a pipeline bug).
 //!
 //! Findings come back as [`Diagnostics`]: stable `SVxxx` codes, fixed

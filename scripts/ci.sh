@@ -19,6 +19,13 @@ cargo fmt --check
 echo "== cargo clippy -D warnings =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: every intra-doc link in the library crates must resolve
+# to a public item, so deleting an item cannot leave a dangling link
+# behind. --lib because the souffle-verify binary and the souffle_verify
+# library would collide in target/doc.
+echo "== cargo doc -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --lib --offline
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace
 
