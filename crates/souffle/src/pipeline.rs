@@ -82,8 +82,9 @@ pub struct Compiled {
     /// (empty when certification is off). Each records what the certifier
     /// proved about that stage's rewrite.
     pub certificates: Vec<Certificate>,
-    /// `program`'s bytecode and wavefront plan, built on first evaluation
-    /// (a compile that is never evaluated never builds them).
+    /// `program`'s bytecode and wavefront plan, built on first use rather
+    /// than at compile time, so a compile that is never evaluated never
+    /// builds them.
     executable: OnceLock<(CompiledProgram, ExecPlan)>,
 }
 
