@@ -94,10 +94,13 @@ pub(crate) enum Instr {
     Jump { target: u32 },
     /// `regs[dst] = ` the combined value of `folds[fold]` — an inline
     /// reduction loop over the fold's bound variable, left by reduction
-    /// fusion. The VM caches the value per fold and invalidates it when a
-    /// variable the fold depends on changes, so a row-invariant fold (the
-    /// softmax denominator, layernorm mean/var) is recomputed once per
-    /// slice rather than once per element.
+    /// fusion. A row-invariant, straight-line fold (the softmax
+    /// denominator, layernorm mean/var) runs on the `ew_tile` kernel, once
+    /// per row segment ([`crate::kernels`]). On the bytecode path — the
+    /// tier switched off, or any other fold — the VM caches the value per
+    /// fold and invalidates it when a variable the fold depends on
+    /// changes, so a row-invariant fold is still recomputed once per slice
+    /// rather than once per element.
     Fold { dst: u32, fold: u32 },
 }
 
@@ -156,7 +159,8 @@ pub(crate) struct CompiledFold {
     /// Register holding the body value after one execution of `code`.
     pub result: u32,
     /// Free variables the fold's *value* depends on (binder excluded) —
-    /// the VM's cache-invalidation set.
+    /// the VM's cache-invalidation set, and what `ew_tile` selection reads
+    /// to tell a row-invariant fold.
     pub deps: Vec<usize>,
 }
 
@@ -309,6 +313,18 @@ impl CompiledProgram {
             stats.record(piece.tier);
         }
         stats
+    }
+
+    /// Body evaluations one evaluation leaves on the bytecode path: the
+    /// sum, over pieces that fall back, of output points × reduction
+    /// points. Deterministic, since selection is static.
+    pub fn bytecode_points(&self) -> i64 {
+        self.tes
+            .iter()
+            .flat_map(|te| &te.pieces)
+            .filter(|p| matches!(p.tier, KernelSel::Fallback(_)))
+            .map(|p| p.out_shape.numel() * p.reduce.iter().product::<i64>())
+            .sum()
     }
 }
 

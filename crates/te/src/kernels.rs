@@ -34,7 +34,16 @@
 //!   `Select`, no generic access, no index values) whose affine accesses
 //!   are all unit- or zero-stride along the innermost axis: the bytecode
 //!   runs over register *tiles* of `TILE` lanes, so instruction dispatch
-//!   amortizes 16× and the per-instruction lane loops autovectorize.
+//!   amortizes 16× and the per-instruction lane loops autovectorize. The
+//!   body may carry the inline folds reduction fusion leaves (the softmax
+//!   max and denominator, the layernorm mean and variance) when each is
+//!   *row-invariant* — its value does not depend on the innermost output
+//!   axis — and straight-line, with no fold nested inside. Each such fold
+//!   is computed once per row segment: its body runs over `TILE` lanes of
+//!   its binder (a load with binder stride 1 is a slice copy, 0 a fill,
+//!   anything else a gather) and the lanes are combined one at a time
+//!   from `op.init()` in ascending binder order, the loop the VM runs.
+//!   The element-wise lanes then read it as a broadcast.
 //! - **`row_dot`** — the matmul body `sum_k a[..,k] * b[k, j]` where the
 //!   left factor does not vary along the innermost output axis and the
 //!   right factor is unit-stride along it: an accumulator tile over the
@@ -59,15 +68,16 @@
 //! cannot change any result bit because elements are computed
 //! independently from pure loads. The one opt-out is
 //! `ExecOpts::fast_math` (set from [`crate::RuntimeOptions::fast_math`]),
-//! which relaxes the *reduction order* of `Sum` dots into multi-lane
-//! partial accumulators; it changes float results, is off by default, and
-//! is excluded from every differential oracle.
+//! which relaxes the *reduction order* of `Sum` dots and slice sums into
+//! multi-lane partial accumulators (a fold's combine stays sequential); it
+//! changes float results, is off by default, and is excluded from every
+//! differential oracle.
 //!
 //! Selection is total and static, so per-evaluation dispatch counts are
 //! deterministic; the runtime aggregates them into [`KernelStats`] and the
 //! trace spine exposes them as `kernels.*` counters.
 
-use crate::compile::{AffineAccess, BodyKind, Instr, Piece};
+use crate::compile::{AffineAccess, BodyKind, CompiledFold, Instr, Piece};
 use crate::te::ReduceOp;
 
 /// Environment variable overriding the kernel-tier mode: `on`/`1`/`true`
@@ -203,24 +213,49 @@ impl KernelSel {
 
 /// Picks the kernel for one compiled piece. Called once per piece at
 /// compile time; the predicate only consults compile-time constants (body
-/// classification, stride tables, reduction extents), never data.
+/// classification, stride tables, reduction extents, fold dependencies),
+/// never data.
 pub(crate) fn select(piece: &Piece) -> KernelSel {
     let points = piece.out_shape.numel().max(1) * piece.reduce.iter().product::<i64>().max(1);
     if points < SMALL_TE_POINTS {
         return KernelSel::Fallback(FallbackReason::SmallTe);
     }
-    if !piece.folds.is_empty() {
-        // Fusion-produced inline reductions carry per-slice state the
-        // stateless kernels cannot express; the VM's fold cache handles
-        // them well on the bytecode path.
-        return KernelSel::Fallback(FallbackReason::ReducedBody);
-    }
+    // Fusion-produced inline folds select like any other instruction: a
+    // map piece whose folds are row-invariant and straight-line runs as
+    // `ew_tile`; everything else reports what actually blocks it.
     match *piece.reduce.as_slice() {
         [] => select_map(piece),
         [_] => select_single_reduce(piece),
         [_, inner] => select_two_axis_reduce(piece, inner),
         _ => KernelSel::Fallback(FallbackReason::MultiAxisReduce),
     }
+}
+
+/// The first generic access, `Select` branch or index value in code order
+/// — the main body first, then the fold bodies — as the reason the piece
+/// stays on bytecode; `None` when its bytecode is straight-line and affine.
+fn blocking_instr(piece: &Piece) -> Option<FallbackReason> {
+    let fold_code = piece.folds.iter().flat_map(|f| &f.code);
+    piece
+        .code
+        .iter()
+        .chain(fold_code)
+        .find_map(|instr| match instr {
+            Instr::LoadGeneric { .. } => Some(FallbackReason::GenericAccess),
+            Instr::JumpIfNot { .. } | Instr::Jump { .. } => Some(FallbackReason::ControlFlow),
+            Instr::Index { .. } => Some(FallbackReason::IndexValue),
+            Instr::Const { .. }
+            | Instr::LoadAffine { .. }
+            | Instr::Unary { .. }
+            | Instr::Binary { .. }
+            | Instr::Fold { .. } => None,
+        })
+}
+
+/// The fallback for a general (unrecognized) reduction body:
+/// `reduced_body` only when its bytecode is straight-line and affine.
+fn generic_reduce_fallback(piece: &Piece) -> KernelSel {
+    KernelSel::Fallback(blocking_instr(piece).unwrap_or(FallbackReason::ReducedBody))
 }
 
 /// Selection for map-style (no-reduction) bodies.
@@ -243,22 +278,18 @@ fn select_map(piece: &Piece) -> KernelSel {
             _ => KernelSel::Fallback(FallbackReason::Strided),
         };
     }
-    // Element-wise tile: straight-line bytecode (first disqualifying
-    // instruction in code order decides the reported reason) over accesses
+    // Element-wise tile: straight-line affine bytecode whose folds are
+    // row-invariant (their value does not depend on the innermost axis)
+    // and not nested, so each runs once per row segment; over accesses
     // that are row-uniform (stride 0) or row-contiguous (stride 1).
-    for instr in &piece.code {
-        match instr {
-            Instr::LoadGeneric { .. } => return KernelSel::Fallback(FallbackReason::GenericAccess),
-            Instr::JumpIfNot { .. } | Instr::Jump { .. } => {
-                return KernelSel::Fallback(FallbackReason::ControlFlow)
-            }
-            Instr::Index { .. } => return KernelSel::Fallback(FallbackReason::IndexValue),
-            Instr::Fold { .. } => return KernelSel::Fallback(FallbackReason::ReducedBody),
-            Instr::Const { .. }
-            | Instr::LoadAffine { .. }
-            | Instr::Unary { .. }
-            | Instr::Binary { .. } => {}
-        }
+    if let Some(reason) = blocking_instr(piece) {
+        return KernelSel::Fallback(reason);
+    }
+    let once_per_segment = |f: &CompiledFold| {
+        !f.deps.contains(&last) && !f.code.iter().any(|i| matches!(i, Instr::Fold { .. }))
+    };
+    if !piece.folds.iter().all(once_per_segment) {
+        return KernelSel::Fallback(FallbackReason::ReducedBody);
     }
     if piece
         .affine
@@ -298,7 +329,7 @@ fn select_single_reduce(piece: &Piece) -> KernelSel {
                 KernelSel::Fallback(FallbackReason::Strided)
             }
         }
-        BodyKind::Generic => KernelSel::Fallback(FallbackReason::ReducedBody),
+        BodyKind::Generic => generic_reduce_fallback(piece),
     }
 }
 
@@ -332,7 +363,7 @@ fn select_two_axis_reduce(piece: &Piece, inner: i64) -> KernelSel {
                     .unwrap_or(KernelSel::Fallback(FallbackReason::MultiAxisReduce))
             }
         }
-        BodyKind::Generic => KernelSel::Fallback(FallbackReason::ReducedBody),
+        BodyKind::Generic => generic_reduce_fallback(piece),
     }
 }
 
@@ -483,9 +514,12 @@ fn run_rows(piece: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]]) {
     let (mut vars, mut offsets) = decode_start(piece, start);
 
     // Kernel-specific scratch, allocated once per chunk.
-    let mut regs: Vec<[f32; TILE]> = match piece.tier {
-        KernelSel::EwTile => vec![[0.0f32; TILE]; piece.n_regs],
-        _ => Vec::new(),
+    let (mut regs, mut folds) = match piece.tier {
+        KernelSel::EwTile => (
+            vec![[0.0f32; TILE]; piece.n_regs],
+            vec![0.0f32; piece.folds.len()],
+        ),
+        _ => (Vec::new(), Vec::new()),
     };
     let mut acc: Vec<f32> = match piece.tier {
         KernelSel::RowDot { .. } => vec![0.0f32; row as usize],
@@ -506,7 +540,15 @@ fn run_rows(piece: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]]) {
                     seg.copy_from_slice(&data[off..off + len]);
                 }
             }
-            KernelSel::EwTile => ew_tile_segment(piece, &offsets, operands, &mut regs, seg),
+            KernelSel::EwTile => {
+                // Row-invariant folds, recomputed at every segment start
+                // (a chunk that cuts a row computes that row's twice, as
+                // the VM's per-call fold cache does).
+                for (value, fold) in folds.iter_mut().zip(&piece.folds) {
+                    *value = fold_value(piece, fold, &offsets, operands, &mut regs);
+                }
+                ew_tile_segment(piece, &offsets, operands, &folds, &mut regs, seg)
+            }
             KernelSel::RowDot { a, b } => {
                 row_dot_segment(piece, a, b, &offsets, operands, &mut acc[..len], seg)
             }
@@ -548,13 +590,16 @@ fn run_rows(piece: &Piece, start: usize, out: &mut [f32], operands: &[&[f32]]) {
 }
 
 /// One element-wise segment: the body bytecode executed over register
-/// tiles of [`TILE`] lanes. Each lane computes one output element with the
-/// exact instruction sequence the scalar VM would run, so results are
-/// bit-identical; the per-instruction lane loops are what autovectorizes.
+/// tiles of [`TILE`] lanes along the innermost axis, each `Instr::Fold`
+/// broadcasting its segment value from `folds`. Each lane computes one
+/// output element with the exact instruction sequence the scalar VM would
+/// run, so results are bit-identical; the per-instruction lane loops are
+/// what autovectorizes.
 fn ew_tile_segment(
     piece: &Piece,
     offsets: &[i64],
     operands: &[&[f32]],
+    folds: &[f32],
     regs: &mut [[f32; TILE]],
     seg: &mut [f32],
 ) {
@@ -562,47 +607,112 @@ fn ew_tile_segment(
     let mut pos = 0usize;
     while pos < seg.len() {
         let t = TILE.min(seg.len() - pos);
-        for instr in &piece.code {
-            match instr {
-                Instr::Const { dst, value } => regs[*dst as usize][..t].fill(*value),
-                Instr::LoadAffine { dst, access } => {
-                    let ai = *access as usize;
-                    let a: &AffineAccess = &piece.affine[ai];
-                    let data = operands[a.operand];
-                    let r = &mut regs[*dst as usize];
-                    if a.coeffs[last] == 1 {
-                        let off = (offsets[ai] + pos as i64) as usize;
-                        r[..t].copy_from_slice(&data[off..off + t]);
-                    } else {
-                        r[..t].fill(data[offsets[ai] as usize]);
-                    }
-                }
-                Instr::Unary { dst, op, src } => {
-                    let sv = regs[*src as usize];
-                    let r = &mut regs[*dst as usize];
-                    for l in 0..t {
-                        r[l] = op.apply(sv[l]);
-                    }
-                }
-                Instr::Binary { dst, op, lhs, rhs } => {
-                    let lv = regs[*lhs as usize];
-                    let rv = regs[*rhs as usize];
-                    let r = &mut regs[*dst as usize];
-                    for l in 0..t {
-                        r[l] = op.apply(lv[l], rv[l]);
-                    }
-                }
-                Instr::LoadGeneric { .. }
-                | Instr::Index { .. }
-                | Instr::JumpIfNot { .. }
-                | Instr::Jump { .. }
-                | Instr::Fold { .. } => {
-                    unreachable!("excluded by the ew_tile selection predicate")
-                }
-            }
-        }
+        let lanes = Lanes {
+            var: last,
+            first: pos as i64,
+            len: t,
+        };
+        run_lanes(piece, &piece.code, lanes, offsets, operands, folds, regs);
         seg[pos..pos + t].copy_from_slice(&regs[piece.result as usize][..t]);
         pos += t;
+    }
+}
+
+/// One row-invariant, straight-line fold at a segment start: its body over
+/// tiles of [`TILE`] binder lanes, then the lanes combined one at a time
+/// from `op.init()` in ascending binder order — the loop the VM runs for
+/// `Instr::Fold`, so the value is the bytecode's bit for bit.
+fn fold_value(
+    piece: &Piece,
+    fold: &CompiledFold,
+    offsets: &[i64],
+    operands: &[&[f32]],
+    regs: &mut [[f32; TILE]],
+) -> f32 {
+    let mut acc = fold.op.init();
+    let mut k = 0i64;
+    while k < fold.extent {
+        let t = TILE.min((fold.extent - k) as usize);
+        let lanes = Lanes {
+            var: fold.var,
+            first: k,
+            len: t,
+        };
+        run_lanes(piece, &fold.code, lanes, offsets, operands, &[], regs);
+        for &x in &regs[fold.result as usize][..t] {
+            acc = fold.op.combine(acc, x);
+        }
+        k += t as i64;
+    }
+    acc
+}
+
+/// The lanes of one register tile: lane `l` evaluates the code at
+/// `var = first + l`, every other variable at the point `offsets` was
+/// taken.
+#[derive(Clone, Copy)]
+struct Lanes {
+    var: usize,
+    first: i64,
+    len: usize,
+}
+
+/// Runs straight-line `code` over one tile of lanes. An affine load with
+/// stride 1 along the lane variable is a slice copy, stride 0 a fill and
+/// any other stride a gather; `Instr::Fold` fills its value from `folds`.
+fn run_lanes(
+    piece: &Piece,
+    code: &[Instr],
+    lanes: Lanes,
+    offsets: &[i64],
+    operands: &[&[f32]],
+    folds: &[f32],
+    regs: &mut [[f32; TILE]],
+) {
+    let t = lanes.len;
+    for instr in code {
+        match instr {
+            Instr::Const { dst, value } => regs[*dst as usize][..t].fill(*value),
+            Instr::LoadAffine { dst, access } => {
+                let ai = *access as usize;
+                let a: &AffineAccess = &piece.affine[ai];
+                let data = operands[a.operand];
+                let stride = a.coeffs[lanes.var];
+                let off = offsets[ai] + lanes.first * stride;
+                let r = &mut regs[*dst as usize][..t];
+                match stride {
+                    1 => r.copy_from_slice(&data[off as usize..off as usize + t]),
+                    0 => r.fill(data[off as usize]),
+                    _ => {
+                        for (l, x) in r.iter_mut().enumerate() {
+                            *x = data[(off + l as i64 * stride) as usize];
+                        }
+                    }
+                }
+            }
+            Instr::Unary { dst, op, src } => {
+                let sv = regs[*src as usize];
+                let r = &mut regs[*dst as usize];
+                for l in 0..t {
+                    r[l] = op.apply(sv[l]);
+                }
+            }
+            Instr::Binary { dst, op, lhs, rhs } => {
+                let lv = regs[*lhs as usize];
+                let rv = regs[*rhs as usize];
+                let r = &mut regs[*dst as usize];
+                for l in 0..t {
+                    r[l] = op.apply(lv[l], rv[l]);
+                }
+            }
+            Instr::Fold { dst, fold } => regs[*dst as usize][..t].fill(folds[*fold as usize]),
+            Instr::LoadGeneric { .. }
+            | Instr::Index { .. }
+            | Instr::JumpIfNot { .. }
+            | Instr::Jump { .. } => {
+                unreachable!("excluded by the ew_tile selection predicate")
+            }
+        }
     }
 }
 
@@ -788,7 +898,9 @@ mod tests {
     use super::*;
     use crate::builders;
     use crate::compile::compile_program;
+    use crate::expr::{BinaryOp, CmpOp, Cond, ScalarExpr, UnaryOp};
     use crate::program::TeProgram;
+    use souffle_affine::IndexExpr;
     use souffle_tensor::{DType, Shape};
 
     #[test]
@@ -897,6 +1009,50 @@ mod tests {
             .find(|p| p.reduce.len() == 2)
             .expect("pool sum TE");
         assert!(matches!(sum.tier, KernelSel::SliceReduce { .. }));
+    }
+
+    /// The kernel selected for a one-TE program over an input `x: [32, 32]`.
+    fn tier_of(
+        out: Vec<i64>,
+        reduce: Vec<i64>,
+        op: Option<ReduceOp>,
+        body: ScalarExpr,
+    ) -> KernelSel {
+        let mut p = TeProgram::new();
+        let x = p.add_input("x", Shape::new(vec![32, 32]), DType::F32);
+        let t = p.add_te("t", Shape::new(out), DType::F32, vec![x], reduce, op, body);
+        p.mark_output(t);
+        compile_program(&p).tes()[0].pieces[0].tier
+    }
+
+    #[test]
+    fn fallback_reports_the_first_blocking_instruction() {
+        let v = IndexExpr::var;
+        let x = |i: IndexExpr, j: IndexExpr| ScalarExpr::input(0, vec![i, j]);
+        // A fold reading `x[i, k mod 8]`: the generic access blocks it.
+        let fold = ScalarExpr::fold(ReduceOp::Sum, 2, 32, x(v(0), v(2).modulo(8)));
+        let body = ScalarExpr::binary(BinaryOp::Sub, x(v(0), v(1)), fold);
+        assert_eq!(
+            tier_of(vec![32, 32], vec![], None, body),
+            KernelSel::Fallback(FallbackReason::GenericAccess)
+        );
+        // A reduction guarded on two variables: the branch comes first.
+        let sum = v(0).add(v(1));
+        let body = ScalarExpr::select(
+            Cond::cmp(CmpOp::Lt, sum.clone(), IndexExpr::constant(32)),
+            x(v(1), sum),
+            ScalarExpr::Const(f32::NEG_INFINITY),
+        );
+        assert_eq!(
+            tier_of(vec![32], vec![32], Some(ReduceOp::Max), body),
+            KernelSel::Fallback(FallbackReason::ControlFlow)
+        );
+        // Straight-line and affine, but no kernel's shape: reduced_body.
+        let body = ScalarExpr::unary(UnaryOp::Exp, x(v(0), v(1)));
+        assert_eq!(
+            tier_of(vec![32], vec![32], Some(ReduceOp::Sum), body),
+            KernelSel::Fallback(FallbackReason::ReducedBody)
+        );
     }
 
     #[test]

@@ -316,14 +316,17 @@ fn run_piece(
     Ok(())
 }
 
-/// Per-fold value cache for [`Instr::Fold`] execution. A fold's combined
-/// value only depends on its `deps` variables, so the cached value stays
-/// valid while the odometer walks variables outside that set — the
-/// row-invariant folds left by reduction fusion (softmax denominator,
-/// layernorm mean/var) are recomputed once per slice instead of once per
-/// element. A cache hit returns the exact bits recomputation would
-/// produce (same code, same variable values), so caching cannot change
-/// any result bit.
+/// Per-fold value cache for [`Instr::Fold`] execution on the bytecode
+/// path — the path every fold takes with the kernel tier off, and folds
+/// the `ew_tile` kernel cannot hoist (ones that read the innermost axis,
+/// nested ones, or ones with a generic access or a `Select`) take always.
+/// A fold's combined value only depends on its `deps` variables, so the
+/// cached value stays valid while the odometer walks variables outside
+/// that set — the row-invariant folds left by reduction fusion (softmax
+/// denominator, layernorm mean/var) are recomputed once per slice instead
+/// of once per element. A cache hit returns the exact bits recomputation
+/// would produce (same code, same variable values), so caching cannot
+/// change any result bit.
 pub(crate) struct FoldEval {
     vals: Vec<f32>,
     valid: Vec<bool>,

@@ -23,9 +23,12 @@
 //! The `den` tensor never exists: no store of the reduction, no re-load
 //! by the consumer. The price is recomputation — the fold re-reads the
 //! reduction's operands from the consumer's loop — which the evaluator
-//! amortizes by caching a fold's value while the variables it depends on
-//! are unchanged, so a slice-invariant fold runs once per slice, exactly
-//! the tiling-with-recomputation schedule of hand-written fused softmax
+//! amortizes: the `ew_tile` kernel computes a row-invariant fold once per
+//! row segment and broadcasts it over the row, and the bytecode path
+//! (kernel tier off, or a fold the kernel cannot hoist) caches a fold's
+//! value while the variables it depends on are unchanged. Either way a
+//! slice-invariant fold runs once per slice, exactly the
+//! tiling-with-recomputation schedule of hand-written fused softmax
 //! kernels.
 //!
 //! # Candidate shape

@@ -13,13 +13,15 @@
 //! scale — raw, fused (V1 and V4) and batched the way serving runs them —
 //! hundreds of `TESTKIT_SEED`-randomized generated programs, and
 //! handcrafted chunk-boundary cases, among them a horizontal GEMM group
-//! whose chunks straddle its pieces; it also pins the selection census
-//! on the models (BERT's matmuls really do take `row_dot`, the fused
-//! BERT's guarded groups and strip-mined projection leave the bytecode
-//! path, convs really do fall back) and checks the `fast_math` opt-out
-//! stays *close*
-//! (never bit-identical is not required — it reassociates sums — but the
-//! oracle tolerance must hold).
+//! whose chunks straddle its pieces and fused softmax/layernorm rows
+//! whose inline folds run on `ew_tile` (with strided, short and
+//! `NaN`-laden folds beside them); it also pins the selection census on
+//! the models (BERT's matmuls really do take `row_dot`, the fused BERT's
+//! guarded groups, strip-mined projection and fold-carrying TEs leave the
+//! bytecode path, convs really do fall back), checks that the full
+//! pipeline never adds bytecode points, and checks the `fast_math`
+//! opt-out stays *close* (never bit-identical is not required — it
+//! reassociates sums — but the oracle tolerance must hold).
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -29,8 +31,8 @@ use souffle_frontend::models::bert::BertConfig;
 use souffle_frontend::{build_model, Model, ModelConfig};
 use souffle_te::interp::{eval_program, random_bindings};
 use souffle_te::{
-    builders, compile_program, BinaryOp, CmpOp, Cond, ExecPlan, FallbackReason, ReduceOp, Runtime,
-    RuntimeOptions, ScalarExpr, TeProgram, TensorId,
+    builders, compile_program, BinaryOp, CmpOp, CompiledProgram, CompiledTe, Cond, ExecPlan,
+    FallbackReason, ReduceOp, Runtime, RuntimeOptions, ScalarExpr, TeProgram, TensorId, UnaryOp,
 };
 use souffle_tensor::{DType, Shape, Tensor};
 use souffle_testkit::oracle::{check_stage, Stage, Tolerance};
@@ -96,11 +98,20 @@ fn compare_maps(
 /// result (intermediates included) to be bit-identical to the naive
 /// interpreter's — or to fail with the identical error.
 fn assert_tier_matches_interpreter(program: &TeProgram, seed: u64) -> Result<(), String> {
-    let bindings = random_bindings(program, seed);
-    let want = eval_program(program, &bindings);
+    assert_tier_matches_on(program, &random_bindings(program, seed), seed)
+}
+
+/// [`assert_tier_matches_interpreter`] on caller-built bindings (`seed`
+/// only labels the report).
+fn assert_tier_matches_on(
+    program: &TeProgram,
+    bindings: &HashMap<TensorId, Tensor>,
+    seed: u64,
+) -> Result<(), String> {
+    let want = eval_program(program, bindings);
     let cp = compile_program(program);
     for (label, rt) in runtimes() {
-        let got = rt.eval_keeping_intermediates(&cp, &bindings);
+        let got = rt.eval_keeping_intermediates(&cp, bindings);
         match (&want, got) {
             (Err(we), Err(ge)) => {
                 if *we != ge {
@@ -306,6 +317,260 @@ fn horizontal_gemm_group_with_odd_extents_stays_bit_identical() {
     }
 }
 
+/// The compiled TEs of `program` whose body carries an inline fold.
+fn fold_tes<'a>(
+    program: &'a TeProgram,
+    cp: &'a CompiledProgram,
+) -> impl Iterator<Item = &'a CompiledTe> + 'a {
+    program
+        .te_ids()
+        .zip(cp.tes())
+        .filter(|(id, _)| program.te(*id).body.has_fold())
+        .map(|(_, te)| te)
+}
+
+/// matmul → softmax → layernorm over `[67, 131]`, fused in the pipeline's
+/// order (vertical fusion, then `reduction_fuse_program`): `sm.exp`,
+/// `sm.div`, `ln.center` and `ln.norm` carry their row max, sum, mean and
+/// variance as folds, and every one of them runs `ew_tile`. On a 3-stream
+/// pool `runtime::chunk_len` cuts the 8,777 outputs into chunks of 8,192
+/// (= 62 · 131 + 70), so the second chunk starts inside row 62 and that
+/// row's folds are computed again at the segment start. 131 is not a
+/// multiple of `TILE`, so both the output lanes and the fold lanes leave
+/// remainders.
+#[test]
+fn fused_softmax_layernorm_rows_stay_bit_identical() {
+    let mut p = TeProgram::new();
+    let a = p.add_input("A", Shape::new(vec![67, 29]), DType::F32);
+    let b = p.add_weight("B", Shape::new(vec![29, 131]), DType::F32);
+    let gamma = p.add_weight("gamma", Shape::new(vec![131]), DType::F32);
+    let beta = p.add_weight("beta", Shape::new(vec![131]), DType::F32);
+    let mm = builders::matmul(&mut p, "mm", a, b);
+    let sm = builders::softmax(&mut p, "sm", mm);
+    let ln = builders::layer_norm(&mut p, "ln", sm, gamma, beta, 1e-5);
+    p.mark_output(ln);
+    let (vertical, _) = souffle_transform::vertical_fuse_program(&p);
+    let (fused, stats) = souffle_transform::reduction_fuse_program(&vertical);
+    fused.validate().unwrap();
+    assert_eq!(stats.fused, 4, "{stats:?}");
+
+    let cp = compile_program(&fused);
+    let names: Vec<&str> = fold_tes(&fused, &cp).map(|te| te.name()).collect();
+    assert_eq!(names, ["sm.exp", "sm.div", "ln.center", "ln.norm"]);
+    for te in fold_tes(&fused, &cp) {
+        assert_eq!(te.piece_kernels(), ["ew_tile"], "{}", te.name());
+    }
+    for seed in [5, 17, 4242] {
+        assert_tier_matches_interpreter(&fused, seed).unwrap();
+    }
+}
+
+/// A program of one map TE `fused[dims] = body`, operand `i` being an
+/// input of shape `inputs[i]`.
+fn map_te(inputs: &[&[i64]], dims: &[i64], body: ScalarExpr) -> TeProgram {
+    let mut p = TeProgram::new();
+    let operands = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, shape)| p.add_input(&format!("x{i}"), Shape::new(shape.to_vec()), DType::F32))
+        .collect();
+    let dims = Shape::new(dims.to_vec());
+    let t = p.add_te("fused", dims, DType::F32, operands, vec![], None, body);
+    p.mark_output(t);
+    p.validate().unwrap();
+    p
+}
+
+/// `operand[v_a, v_b, ..]` for the variables `vars`.
+fn load(operand: usize, vars: &[usize]) -> ScalarExpr {
+    ScalarExpr::input(operand, vars.iter().map(|&v| IndexExpr::var(v)).collect())
+}
+
+fn mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr {
+    ScalarExpr::binary(BinaryOp::Mul, a, b)
+}
+
+/// Two fold shapes a softmax row does not exercise: the shape of
+/// EfficientNet's squeeze-excite scale, `x[c, p] · sigmoid(fold_sum(k <
+/// 20, s[k] · w[k, c]))`, whose fold varies along the outer axis only and
+/// whose binder strides `w` by a whole row (24), so the fold lanes gather;
+/// and `x[i, j] - fold_sum(k < 5, y[i, k]²)`, a fold shorter than one lane
+/// tile, over rows of 33 (two full tiles and a lane).
+#[test]
+fn gathered_and_short_folds_stay_bit_identical() {
+    let gate = ScalarExpr::fold(ReduceOp::Sum, 2, 20, mul(load(1, &[2]), load(2, &[2, 0])));
+    let se = map_te(
+        &[&[24, 37], &[20], &[20, 24]],
+        &[24, 37],
+        mul(load(0, &[0, 1]), ScalarExpr::unary(UnaryOp::Sigmoid, gate)),
+    );
+    let square = ScalarExpr::fold(ReduceOp::Sum, 2, 5, mul(load(1, &[0, 2]), load(1, &[0, 2])));
+    let short = map_te(
+        &[&[40, 33], &[40, 5]],
+        &[40, 33],
+        ScalarExpr::binary(BinaryOp::Sub, load(0, &[0, 1]), square),
+    );
+    for (label, p) in [("squeeze-excite", se), ("short", short)] {
+        assert_eq!(
+            compile_program(&p).tes()[0].piece_kernels(),
+            ["ew_tile"],
+            "{label}"
+        );
+        for seed in [2, 71, 9001] {
+            assert_tier_matches_interpreter(&p, seed).unwrap_or_else(|e| panic!("{label}: {e}"));
+        }
+    }
+}
+
+/// The softmax shift `out[i, j] = x[i, j] - fold_max(k < 24, x[i, k])`
+/// over hand-bound rows where the combine order shows: all `-inf`, `NaN`
+/// first, last, throughout and beside `±inf`, and signed zeros in both
+/// orders (`max(-0, 0)` depends on which comes first).
+#[test]
+fn max_fold_over_infinities_and_nans_stays_bit_identical() {
+    const COLS: usize = 24;
+    let dims = [16, COLS as i64];
+    let row_max = ScalarExpr::fold(ReduceOp::Max, 2, COLS as i64, load(0, &[0, 2]));
+    let p = map_te(
+        &[&dims],
+        &dims,
+        ScalarExpr::binary(BinaryOp::Sub, load(0, &[0, 1]), row_max),
+    );
+    assert_eq!(compile_program(&p).tes()[0].piece_kernels(), ["ew_tile"]);
+
+    let x = p.free_tensors()[0];
+    let (inf, nan) = (f32::INFINITY, f32::NAN);
+    let mut data = random_bindings(&p, 3)[&x].data().to_vec();
+    let mut row = |r: usize, f: &dyn Fn(usize) -> Option<f32>| {
+        for (c, slot) in data[r * COLS..(r + 1) * COLS].iter_mut().enumerate() {
+            if let Some(v) = f(c) {
+                *slot = v;
+            }
+        }
+    };
+    row(0, &|_| Some(-inf));
+    row(1, &|c| (c == 0).then_some(nan));
+    row(2, &|c| (c == COLS - 1).then_some(nan));
+    row(3, &|_| Some(nan));
+    row(4, &|c| Some(if c % 2 == 0 { nan } else { -inf }));
+    row(5, &|c| {
+        [(3, inf), (4, nan), (17, -inf)]
+            .into_iter()
+            .find(|e| e.0 == c)
+            .map(|e| e.1)
+    });
+    row(6, &|c| Some(if c % 2 == 0 { -0.0 } else { 0.0 }));
+    row(7, &|c| Some(if c % 2 == 0 { 0.0 } else { -0.0 }));
+    row(8, &|c| Some(if c < 20 { -1.0 - c as f32 } else { -0.0 }));
+    let bindings = HashMap::from([(x, Tensor::from_vec(Shape::new(dims.to_vec()), data))]);
+    assert_tier_matches_on(&p, &bindings, 0).unwrap();
+}
+
+/// The folds `ew_tile` cannot hoist out of a row stay on bytecode, report
+/// `reduced_body`, and stay bit-exact there: one that reads the innermost
+/// output axis (a different value per element) and one nested in another.
+#[test]
+fn folds_the_kernel_cannot_hoist_stay_on_bytecode_bit_identically() {
+    let per_element = ScalarExpr::fold(
+        ReduceOp::Sum,
+        2,
+        32,
+        mul(load(0, &[0, 2]), load(1, &[2, 1])),
+    );
+    let centered = ScalarExpr::binary(
+        BinaryOp::Sub,
+        load(0, &[0, 2]),
+        ScalarExpr::fold(ReduceOp::Max, 3, 32, load(0, &[0, 3])),
+    );
+    let nested = ScalarExpr::fold(ReduceOp::Sum, 2, 32, centered);
+    for (label, fold) in [("per-element", per_element), ("nested", nested)] {
+        let body = ScalarExpr::binary(BinaryOp::Div, load(0, &[0, 1]), fold);
+        let p = map_te(&[&[24, 32], &[32, 32]], &[24, 32], body);
+        let reason = compile_program(&p).tes()[0].kernel_fallback_reason();
+        assert_eq!(reason, Some("reduced_body"), "{label}");
+        for seed in [4, 44] {
+            assert_tier_matches_interpreter(&p, seed).unwrap_or_else(|e| panic!("{label}: {e}"));
+        }
+    }
+}
+
+/// BERT at the pipeline bench's scale (what infer-bert evaluates).
+fn bench_bert() -> TeProgram {
+    souffle_frontend::models::bert::build(&BertConfig {
+        layers: 2,
+        hidden: 64,
+        heads: 4,
+        seq: 64,
+        ffn: 256,
+    })
+}
+
+/// `program` through the pipeline at `opts`, with reduction fusion pinned
+/// on and verification off (selection and evaluation only).
+fn fused_program(program: &TeProgram, opts: souffle::SouffleOptions) -> TeProgram {
+    let opts = souffle::SouffleOptions {
+        verify: false,
+        reduction_fusion: Some(true),
+        ..opts
+    };
+    souffle::Souffle::new(opts).compile(program).program
+}
+
+/// Every Tiny model's fold TEs sit under the small-TE cutoff, so this is
+/// the one real model that evaluates fold kernels: full-pipeline
+/// BERT(bench) with the tier on, at 1 and 3 streams, must match the tier
+/// off bit for bit.
+#[test]
+fn bench_bert_full_pipeline_is_bit_identical_across_tier_modes() {
+    let fused = fused_program(&bench_bert(), souffle::SouffleOptions::full());
+    let cp = compile_program(&fused);
+    assert!(fold_tes(&fused, &cp).count() > 0, "no fold TEs to test");
+    let bindings = random_bindings(&fused, 64);
+    let eval = |label: &str| {
+        let (_, rt) = runtimes().iter().find(|(l, _)| *l == label).unwrap();
+        rt.eval_keeping_intermediates(&cp, &bindings).unwrap()
+    };
+    let want = eval("1 stream, kernels off");
+    for label in ["1 stream, kernels on", "3 streams, kernels on"] {
+        compare_maps(label, &fused, &want, &eval(label), 64).unwrap();
+    }
+}
+
+/// Bytecode points (`CompiledProgram::bytecode_points`: output × reduction
+/// points over the pieces that fall back) must not rise from V0 to the
+/// full pipeline: a timing-free check that no transform stage moves work
+/// off the kernel tier. It is checked on BERT(bench) and on every Tiny
+/// model but Swin. Swin (Tiny) rises (6,096 → 6,256): its fold TEs sit
+/// under the small-TE cutoff and its window projections keep generic
+/// accesses (the window partition and roll are not affine yet).
+#[test]
+fn full_pipeline_never_adds_bytecode_points() {
+    let points = |program: &TeProgram, opts| {
+        compile_program(&fused_program(program, opts)).bytecode_points()
+    };
+    let mut programs = vec![("BERT(bench)".to_string(), bench_bert())];
+    for model in [
+        Model::Bert,
+        Model::ResNext,
+        Model::Lstm,
+        Model::EfficientNet,
+        Model::Mmoe,
+    ] {
+        programs.push((
+            format!("{model} (Tiny)"),
+            build_model(model, ModelConfig::Tiny),
+        ));
+    }
+    for (name, program) in &programs {
+        let v0 = points(program, souffle::SouffleOptions::v0());
+        let full = points(program, souffle::SouffleOptions::full());
+        assert!(
+            full <= v0,
+            "{name}: bytecode points rose from {v0} at V0 to {full}"
+        );
+    }
+}
+
 /// Selection census on the six models: BERT's attention/FFN stack must
 /// actually hit the specialized kernels it was built for, and the
 /// convolutional models must fall back honestly (three-axis conv
@@ -349,43 +614,38 @@ fn model_censuses_match_expected_kernel_mix() {
         "transformed BERT Q·Kᵀ scores must take slice_dot: {fused_census:?}"
     );
     // Reduction fusion carries softmax/layernorm denominators inline as
-    // folds; those TEs fall back honestly (per-slice fold state is what
-    // the fixed-stride kernels cannot express).
-    assert!(
-        fused_census.fallback[reason_index(FallbackReason::ReducedBody)] > 0,
-        "transformed BERT fold-carrying TEs must fall back reduced_body: {fused_census:?}"
+    // row-invariant folds, which `ew_tile` computes once per row segment:
+    // nothing is left on bytecode as a general reduction body.
+    assert_eq!(
+        fused_census.fallback[reason_index(FallbackReason::ReducedBody)],
+        0,
+        "transformed BERT fold-carrying TEs must leave reduced_body: {fused_census:?}"
     );
 
     // BERT at the pipeline bench's scale (what infer-bert evaluates):
     // under the full pipeline the horizontal groups split at their guard
     // cuts and the projection strip-mines, so nothing falls back for
     // control flow or a generic access, and the QKV GEMM pieces and the
-    // projection run row_dot; only the fold-carrying TEs stay on bytecode.
-    // At V0 the head reshapes' delinearized reads are affine in range, so
-    // they copy rows.
-    let bench_bert = souffle_frontend::models::bert::build(&BertConfig {
-        layers: 2,
-        hidden: 64,
-        heads: 4,
-        seq: 64,
-        ffn: 256,
-    });
-    let tes_of = |opts: souffle::SouffleOptions| {
-        let opts = souffle::SouffleOptions {
-            verify: false,
-            ..opts
-        };
-        compile_program(&souffle::Souffle::new(opts).compile(&bench_bert).program)
-    };
-    let full = tes_of(souffle::SouffleOptions::full());
+    // projection run row_dot; the 12 fold-carrying softmax/layernorm TEs
+    // run ew_tile, so nothing at all stays on bytecode. At V0 the head
+    // reshapes' delinearized reads are affine in range, so they copy rows.
+    let bench_bert = bench_bert();
+    let full_program = fused_program(&bench_bert, souffle::SouffleOptions::full());
+    let full = compile_program(&full_program);
     let census = full.kernel_census();
-    for reason in [FallbackReason::ControlFlow, FallbackReason::GenericAccess] {
-        assert_eq!(
-            census.fallback[reason_index(reason)],
-            0,
-            "full-pipeline BERT(bench) must not fall back {}: {census:?}",
-            reason.name()
-        );
+    assert_eq!(
+        census.bytecode(),
+        0,
+        "full-pipeline BERT(bench) must not fall back: {census:?}"
+    );
+    let folds: Vec<_> = fold_tes(&full_program, &full).collect();
+    assert_eq!(
+        folds.len(),
+        12,
+        "softmax exp/div and ln center/norm, 2 layers"
+    );
+    for te in folds {
+        assert_eq!(te.piece_kernels(), ["ew_tile"], "{}", te.name());
     }
     let named = |suffix: &str| {
         full.tes()
@@ -406,7 +666,7 @@ fn model_censuses_match_expected_kernel_mix() {
     for te in proj {
         assert_eq!(te.piece_kernels(), vec!["row_dot"], "{}", te.name());
     }
-    let v0 = tes_of(souffle::SouffleOptions::v0());
+    let v0 = compile_program(&fused_program(&bench_bert, souffle::SouffleOptions::v0()));
     let reshapes: Vec<_> = v0
         .tes()
         .iter()
@@ -419,6 +679,22 @@ fn model_censuses_match_expected_kernel_mix() {
     assert_eq!(reshapes.len(), 6, "q/k/v reshapes of two layers");
     for te in reshapes {
         assert_eq!(te.kernel(), "copy_rows", "V0 {}", te.name());
+    }
+
+    // Under the full pipeline no model, at either scale, leaves a piece on
+    // bytecode as a straight-line affine reduction body: fold-carrying
+    // pieces run ew_tile, and what stays behind reports what blocks it.
+    for model in Model::ALL {
+        for config in [ModelConfig::Tiny, ModelConfig::Paper] {
+            let program =
+                fused_program(&build_model(model, config), souffle::SouffleOptions::full());
+            let census = compile_program(&program).kernel_census();
+            assert_eq!(
+                census.fallback[reason_index(FallbackReason::ReducedBody)],
+                0,
+                "{model} {config:?}: {census:?}"
+            );
+        }
     }
 
     for conv_model in [Model::ResNext, Model::EfficientNet] {

@@ -26,13 +26,17 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 /// Compile + one inference with everything pinned deterministic: verify
-/// on (its spans are part of the contract), one execution stream (the
-/// work-stealing counters of a real pool are timing-dependent and must
-/// not leak into golden structure).
+/// and certify on (their spans are part of the contract), one execution
+/// stream (the work-stealing counters of a real pool are
+/// timing-dependent and must not leak into golden structure).
 fn traced_run(model: Model) -> souffle::trace::Trace {
     let program = build_model(model, ModelConfig::Tiny);
     let mut options = SouffleOptions::full();
     options.verify = true;
+    // Certification defaults to on only in debug builds and reads
+    // `SOUFFLE_CERTIFY`; pin it so the `verify:certify:*` spans appear in
+    // release builds and under any environment too.
+    options.certify = Some(true);
     options.eval_threads = Some(1);
     // Pin the kernel tier on so golden structure cannot drift with the
     // `SOUFFLE_KERNEL_TIER` environment (off would drop every `kernels.*`
